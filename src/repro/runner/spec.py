@@ -10,7 +10,7 @@ Two hashing layers make the cache sound:
 * :attr:`JobSpec.spec_hash` -- SHA-256 over the spec's canonical JSON
   (sorted keys, no whitespace).  Any change to the experiment name, a
   parameter, or a profile field produces a different hash.
-* :func:`code_version` -- SHA-256 over every ``*.py`` file under
+* :func:`code_version` -- SHA-256 over every ``*.py`` and ``*.c`` file under
   ``src/repro``.  The result store namespaces entries by this
   fingerprint, so editing the attack (or the runner itself) invalidates
   every cached cell without any manual bookkeeping.
@@ -110,7 +110,7 @@ _CODE_VERSION: str | None = None
 
 
 def _fingerprint_source_tree(root: Path) -> str:
-    """One full walk of ``root``: hash every ``*.py`` path and contents.
+    """One full walk of ``root``: hash every ``*.py`` and ``*.c`` path and contents.
 
     This is the expensive part of :func:`code_version` (it reads every
     source file under ``src/repro``), kept as a separate hook so tests
@@ -118,7 +118,7 @@ def _fingerprint_source_tree(root: Path) -> str:
     stores are opened.
     """
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())
@@ -129,9 +129,10 @@ def _fingerprint_source_tree(root: Path) -> str:
 def code_version() -> str:
     """Fingerprint of the ``src/repro`` source tree (cached per process).
 
-    Hashes every ``*.py`` file's path and contents in sorted order, so
-    any source edit -- attack, simulator, or the runner itself -- yields
-    a new version and orphans previously cached results.  The walk runs
+    Hashes every ``*.py`` and ``*.c`` file's path and contents in sorted
+    order, so any source edit -- attack, simulator, the native SAT kernel,
+    or the runner itself -- yields a new version and orphans previously
+    cached results.  The walk runs
     once per process and the digest is shared by every store opened
     afterwards (opening N stores must not re-hash the tree N times).
     """

@@ -11,7 +11,9 @@ stack from scratch:
 * :mod:`repro.sat.solver` — a conflict-driven clause-learning (CDCL)
   solver with two-literal watching, VSIDS decisions, phase saving, 1-UIP
   learning, Luby restarts, LBD-ranked learned-clause reduction and
-  failed-assumption cores;
+  failed-assumption cores; its search runs in the C kernel of
+  :mod:`repro.sat.native` when the system compiler can build it, else in
+  the identical pure-Python kernel of :mod:`repro.sat.pykernel`;
 * :mod:`repro.sat.incremental` — the session API
   (:class:`IncrementalSolver`): persistent ``add_clause`` /
   ``solve(assumptions=...)`` with activation-literal clause groups;
@@ -26,7 +28,7 @@ from repro.sat.tseitin import (
     compile_encoding,
     encoding_for,
 )
-from repro.sat.solver import CdclSolver, SolveResult, SolverStats
+from repro.sat.solver import CdclSolver, SolveResult, SolverError, SolverStats
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.enumerate import enumerate_models
 from repro.sat.preprocess import preprocess, PreprocessResult
@@ -45,6 +47,7 @@ __all__ = [
     "CdclSolver",
     "IncrementalSolver",
     "SolveResult",
+    "SolverError",
     "SolverStats",
     "enumerate_models",
 ]

@@ -120,8 +120,6 @@ class IncrementalSolver(CdclSolver):
         output) pass the previous return value back in, so each call
         transfers only the new suffix.  Returns the new synced count.
         """
-        self._ensure_vars(cnf.n_vars)
         clauses = cnf.clauses
-        for index in range(already_synced, len(clauses)):
-            self.add_clause(clauses[index])
+        self._kernel.add_clauses(cnf.n_vars, clauses[already_synced:])
         return len(clauses)

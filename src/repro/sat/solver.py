@@ -1,7 +1,7 @@
 """A conflict-driven clause-learning (CDCL) SAT solver.
 
-This is a from-scratch, pure-Python replacement for the lingeling solver
-the paper used.  It implements the standard modern architecture:
+This is a from-scratch replacement for the lingeling solver the paper
+used.  It implements the standard modern architecture:
 
 * two-literal watching for unit propagation;
 * VSIDS-style variable activities with a lazy max-heap;
@@ -12,38 +12,27 @@ the paper used.  It implements the standard modern architecture:
 * incremental use: clauses may be added between ``solve`` calls, and each
   call may carry a list of assumption literals.
 
-Literal encoding (internal): variable ``v`` (1-based) maps to codes
-``2*v`` (positive) and ``2*v + 1`` (negative); ``code ^ 1`` negates.
-Public APIs use DIMACS-signed literals.
+:class:`CdclSolver` is the public face; the search runs in a *kernel*.
+The native kernel (:mod:`repro.sat.native`, C through ``ctypes``) is used
+whenever the system compiler can build it; otherwise the pure-Python
+kernel (:mod:`repro.sat.pykernel`) runs.  Both walk the same search tree
+call for call, so answers, models, cores and counters do not depend on
+which one a process got.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
 from typing import Iterable, Sequence
 
+from repro.sat import native
 from repro.sat.cnf import Cnf
+from repro.sat.pykernel import PythonKernel, _luby  # noqa: F401  (re-exported)
 
-_UNASSIGNED = -1
 
-
-class _Clause:
-    """Internal clause representation; lits are internal codes.
-
-    ``lbd`` (literal block distance, the number of distinct decision
-    levels in the clause when it was learned) ranks learned clauses for
-    database reduction: low-LBD "glue" clauses are kept forever.
-    """
-
-    __slots__ = ("lits", "learnt", "deleted", "lbd")
-
-    def __init__(self, lits: list[int], learnt: bool, lbd: int = 0):
-        self.lits = lits
-        self.learnt = learnt
-        self.deleted = False
-        self.lbd = lbd
+class SolverError(RuntimeError):
+    """The solver produced an answer that failed its own check."""
 
 
 @dataclass
@@ -80,13 +69,18 @@ class SolveResult:
         return self.model[var]
 
 
+def default_kernel() -> type:
+    """The kernel class new solvers use: native when it builds, else Python."""
+    return native.NativeKernel if native.load() is not None else PythonKernel
+
+
 class CdclSolver:
     """Incremental CDCL solver.
 
     ``var_decay``, ``restart_base`` and ``reduce_base`` expose the usual
     heuristic knobs (VSIDS decay, Luby restart unit, learned-DB budget);
     the defaults behave well on the locked-circuit instances this project
-    generates.
+    generates.  ``stats`` is refreshed after every call.
     """
 
     def __init__(
@@ -96,66 +90,21 @@ class CdclSolver:
         restart_base: int = 128,
         reduce_base: int = 4000,
     ):
-        self.n_vars = 0
-        self._clauses: list[_Clause] = []
-        self._learnts: list[_Clause] = []
-        self._watches: list[list[_Clause]] = [[], []]  # index by lit code
-        self._assign: list[int] = [_UNASSIGNED]
-        self._level: list[int] = [0]
-        self._reason: list[_Clause | None] = [None]
-        self._phase: list[int] = [0]
-        self._activity: list[float] = [0.0]
-        self._heap: list[tuple[float, int]] = []
-        self._in_heap: list[bool] = [False]
-        self._var_inc = 1.0
-        self._var_decay = 1.0 / var_decay
-        self._restart_base = restart_base
-        self._reduce_base = reduce_base
-        self._trail: list[int] = []
-        self._trail_lim: list[int] = []
-        self._qhead = 0
-        self._ok = True  # False once a top-level conflict is derived
-        self._decision_vars: set[int] | None = None
         self.stats = SolverStats()
+        kernel = default_kernel()
+        self._kernel = kernel(self.stats, var_decay, restart_base, reduce_base)
         if cnf is not None:
             self.add_cnf(cnf)
 
-    def set_decision_vars(self, variables: Iterable[int] | None) -> None:
-        """Restrict branching to the given variables (None = all).
+    @property
+    def n_vars(self) -> int:
+        return self._kernel.n_vars
 
-        Sound and complete for Tseitin encodings of circuits when the set
-        contains every primary-input variable: unit propagation determines
-        all internal gate variables once the inputs are assigned.  This is
-        the standard "input branching" optimisation for SAT attacks; a
-        linear-scan fallback over all variables keeps the solver complete
-        even if the caller passes an insufficient set.
-        """
-        self._decision_vars = set(variables) if variables is not None else None
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
     def new_var(self) -> int:
-        self.n_vars += 1
-        self._assign.append(_UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._phase.append(0)
-        self._activity.append(0.0)
-        self._in_heap.append(False)
-        self._watches.append([])
-        self._watches.append([])
-        self._push_heap(self.n_vars)
-        return self.n_vars
-
-    def _ensure_vars(self, max_var: int) -> None:
-        while self.n_vars < max_var:
-            self.new_var()
+        return self._kernel.new_var()
 
     def add_cnf(self, cnf: Cnf) -> None:
-        self._ensure_vars(cnf.n_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        self._kernel.add_clauses(cnf.n_vars, cnf.clauses)
 
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a clause of DIMACS literals.
@@ -163,360 +112,8 @@ class CdclSolver:
         Must be called at decision level 0 (between solve calls this always
         holds).  Returns False when the formula became trivially UNSAT.
         """
-        if not self._ok:
-            return False
-        if self._trail_lim:
-            self._backtrack(0)
+        return self._kernel.add_clause(lits)
 
-        codes: list[int] = []
-        seen: set[int] = set()
-        for lit in lits:
-            var = abs(lit)
-            if var == 0:
-                raise ValueError("literal 0 is not allowed")
-            self._ensure_vars(var)
-            code = (var << 1) | (1 if lit < 0 else 0)
-            if code ^ 1 in seen:
-                return True  # tautology
-            if code in seen:
-                continue
-            value = self._value(code)
-            if value == 1 and self._level[var] == 0:
-                return True  # already satisfied at top level
-            if value == 0 and self._level[var] == 0:
-                continue  # falsified at top level; drop the literal
-            seen.add(code)
-            codes.append(code)
-
-        if not codes:
-            self._ok = False
-            return False
-        if len(codes) == 1:
-            if not self._enqueue(codes[0], None):
-                self._ok = False
-                return False
-            self._ok = self._propagate() is None
-            return self._ok
-        clause = _Clause(codes, learnt=False)
-        self._clauses.append(clause)
-        self._watches[codes[0]].append(clause)
-        self._watches[codes[1]].append(clause)
-        return True
-
-    # ------------------------------------------------------------------
-    # values / trail
-    # ------------------------------------------------------------------
-    def _value(self, code: int) -> int:
-        a = self._assign[code >> 1]
-        if a == _UNASSIGNED:
-            return _UNASSIGNED
-        return a ^ (code & 1)
-
-    def _enqueue(self, code: int, reason: _Clause | None) -> bool:
-        value = self._value(code)
-        if value != _UNASSIGNED:
-            return value == 1
-        var = code >> 1
-        self._assign[var] = 1 - (code & 1)
-        self._level[var] = len(self._trail_lim)
-        self._reason[var] = reason
-        self._phase[var] = self._assign[var]
-        self._trail.append(code)
-        return True
-
-    def _backtrack(self, target_level: int) -> None:
-        if len(self._trail_lim) <= target_level:
-            return
-        boundary = self._trail_lim[target_level]
-        for code in reversed(self._trail[boundary:]):
-            var = code >> 1
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            if not self._in_heap[var]:
-                self._push_heap(var)
-        del self._trail[boundary:]
-        del self._trail_lim[target_level:]
-        self._qhead = len(self._trail)
-
-    # ------------------------------------------------------------------
-    # propagation
-    # ------------------------------------------------------------------
-    def _propagate(self) -> _Clause | None:
-        # Hot path: attribute lookups hoisted, literal values inlined.
-        trail = self._trail
-        watches = self._watches
-        assign = self._assign
-        level = self._level
-        reason = self._reason
-        phase = self._phase
-        trail_append = trail.append
-        current_level = len(self._trail_lim)
-        props = 0
-        while self._qhead < len(trail):
-            p_true = trail[self._qhead]
-            self._qhead += 1
-            props += 1
-            falsified = p_true ^ 1
-            watch_list = watches[falsified]
-            kept: list[_Clause] = []
-            kept_append = kept.append
-            i = 0
-            n = len(watch_list)
-            conflict: _Clause | None = None
-            while i < n:
-                clause = watch_list[i]
-                i += 1
-                if clause.deleted:
-                    continue
-                lits = clause.lits
-                # Normalise: watched literals sit at positions 0 and 1.
-                if lits[0] == falsified:
-                    lits[0], lits[1] = lits[1], lits[0]
-                other = lits[0]
-                a = assign[other >> 1]
-                if a >= 0 and (a ^ (other & 1)) == 1:
-                    kept_append(clause)
-                    continue
-                # Look for a replacement watch.
-                replaced = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    ak = assign[lk >> 1]
-                    if ak < 0 or (ak ^ (lk & 1)) == 1:
-                        lits[1], lits[k] = lk, lits[1]
-                        watches[lk].append(clause)
-                        replaced = True
-                        break
-                if replaced:
-                    continue
-                # No replacement: clause is unit or conflicting.
-                kept_append(clause)
-                if a < 0:
-                    # Enqueue `other` with this clause as reason.
-                    var = other >> 1
-                    value_bit = 1 - (other & 1)
-                    assign[var] = value_bit
-                    level[var] = current_level
-                    reason[var] = clause
-                    phase[var] = value_bit
-                    trail_append(other)
-                else:
-                    conflict = clause
-                    # Keep remaining watchers untouched.
-                    kept.extend(c for c in watch_list[i:] if not c.deleted)
-                    break
-            watches[falsified] = kept
-            if conflict is not None:
-                self._qhead = len(trail)
-                self.stats.propagations += props
-                return conflict
-        self.stats.propagations += props
-        return None
-
-    # ------------------------------------------------------------------
-    # conflict analysis
-    # ------------------------------------------------------------------
-    def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
-        """First-UIP analysis; returns (learnt clause codes, backjump level).
-
-        ``learnt[0]`` is the asserting literal.
-        """
-        current_level = len(self._trail_lim)
-        seen = bytearray(self.n_vars + 1)
-        learnt: list[int] = [0]
-        counter = 0
-        p = -1
-        reason_lits = conflict.lits
-        index = len(self._trail) - 1
-
-        while True:
-            for q in reason_lits:
-                if q == p:
-                    continue
-                var = q >> 1
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = 1
-                    self._bump_var(var)
-                    if self._level[var] >= current_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            # Walk the trail back to the next marked variable.
-            while not seen[self._trail[index] >> 1]:
-                index -= 1
-            p = self._trail[index]
-            index -= 1
-            var = p >> 1
-            seen[var] = 0
-            counter -= 1
-            if counter == 0:
-                learnt[0] = p ^ 1
-                break
-            reason = self._reason[var]
-            assert reason is not None, "non-decision must have a reason"
-            reason_lits = reason.lits
-
-        # Mark remaining literals for the minimisation pass.
-        for q in learnt[1:]:
-            seen[q >> 1] = 1
-        minimised = [learnt[0]]
-        for q in learnt[1:]:
-            if not self._redundant(q, seen):
-                minimised.append(q)
-        learnt = minimised
-
-        # Compute backjump level and place its literal at position 1.
-        back_level = 0
-        if len(learnt) > 1:
-            max_idx = 1
-            for idx in range(1, len(learnt)):
-                if self._level[learnt[idx] >> 1] > self._level[learnt[max_idx] >> 1]:
-                    max_idx = idx
-            learnt[1], learnt[max_idx] = learnt[max_idx], learnt[1]
-            back_level = self._level[learnt[1] >> 1]
-        return learnt, back_level
-
-    def _analyze_final(self, failed_code: int) -> list[int]:
-        """Assumption core of a failed assumption (MiniSat's analyzeFinal).
-
-        ``failed_code`` is an assumption literal whose negation is implied
-        by the formula plus earlier assumptions.  Walks the implication
-        graph backwards from it and collects the assumption decisions the
-        derivation actually used; returns them (including the failed
-        literal itself) as DIMACS literals.
-        """
-        core_codes = [failed_code]
-        if self._trail_lim:
-            seen = bytearray(self.n_vars + 1)
-            seen[failed_code >> 1] = 1
-            level = self._level
-            reason_of = self._reason
-            for idx in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
-                p = self._trail[idx]
-                var = p >> 1
-                if not seen[var]:
-                    continue
-                seen[var] = 0
-                reason = reason_of[var]
-                if reason is None:
-                    # An assumption decision this derivation used.  (When
-                    # p == failed_code^1 both polarities were assumed and
-                    # the opposite assumption is the whole core.)
-                    core_codes.append(p)
-                else:
-                    for q in reason.lits:
-                        if level[q >> 1] > 0:
-                            seen[q >> 1] = 1
-        return [
-            -(code >> 1) if code & 1 else (code >> 1) for code in core_codes
-        ]
-
-    def _redundant(self, code: int, seen: bytearray) -> bool:
-        """Cheap (non-recursive) literal redundancy test."""
-        reason = self._reason[code >> 1]
-        if reason is None:
-            return False
-        for q in reason.lits:
-            var = q >> 1
-            if var == code >> 1:
-                continue
-            if not seen[var] and self._level[var] > 0:
-                return False
-        return True
-
-    def _record_learnt(self, learnt: list[int]) -> None:
-        if len(learnt) == 1:
-            ok = self._enqueue(learnt[0], None)
-            assert ok, "asserting unit must be enqueueable after backjump"
-            return
-        level = self._level
-        lbd = len({level[code >> 1] for code in learnt})
-        clause = _Clause(learnt, learnt=True, lbd=lbd)
-        self._learnts.append(clause)
-        self.stats.learned += 1
-        self._watches[learnt[0]].append(clause)
-        self._watches[learnt[1]].append(clause)
-        ok = self._enqueue(learnt[0], clause)
-        assert ok, "asserting literal must be enqueueable after backjump"
-
-    # ------------------------------------------------------------------
-    # decision heuristics
-    # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.n_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        if not self._in_heap[var]:
-            self._push_heap(var)
-        else:
-            heappush(self._heap, (-self._activity[var], var))
-
-    def _decay_activities(self) -> None:
-        self._var_inc *= self._var_decay
-
-    def _push_heap(self, var: int) -> None:
-        heappush(self._heap, (-self._activity[var], var))
-        self._in_heap[var] = True
-
-    def _pick_branch_var(self) -> int | None:
-        decision_vars = self._decision_vars
-        while self._heap:
-            neg_act, var = heappop(self._heap)
-            if decision_vars is not None and var not in decision_vars:
-                self._in_heap[var] = False
-                continue
-            if self._assign[var] == _UNASSIGNED and -neg_act == self._activity[var]:
-                self._in_heap[var] = False
-                return var
-            if self._assign[var] == _UNASSIGNED and -neg_act != self._activity[var]:
-                continue  # stale entry; a fresher one exists
-            if self._assign[var] != _UNASSIGNED:
-                self._in_heap[var] = False
-        # Heap exhausted: linear scan, preferring allowed decision vars.
-        if decision_vars is not None:
-            for var in decision_vars:
-                if self._assign[var] == _UNASSIGNED:
-                    return var
-        for var in range(1, self.n_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
-                return var
-        return None
-
-    # ------------------------------------------------------------------
-    # learned clause reduction
-    # ------------------------------------------------------------------
-    def _reduce_db(self) -> None:
-        """Drop the worst half of the learned clauses.
-
-        Ranking is by literal block distance, then clause size (glue-style
-        heuristics): binary and LBD<=2 clauses are kept unconditionally,
-        as are clauses currently locked as a propagation reason.
-        """
-        locked = set()
-        for var in range(1, self.n_vars + 1):
-            reason = self._reason[var]
-            if reason is not None and reason.learnt:
-                locked.add(id(reason))
-        candidates = [c for c in self._learnts if not c.deleted]
-        ranked = sorted(candidates, key=lambda c: (c.lbd, len(c.lits)))
-        removed = 0
-        for clause in ranked[len(ranked) // 2 :]:
-            if (
-                clause.lbd <= 2
-                or len(clause.lits) <= 2
-                or id(clause) in locked
-            ):
-                continue
-            clause.deleted = True
-            removed += 1
-        self._learnts = [c for c in candidates if not c.deleted]
-        self.stats.deleted += removed
-
-    # ------------------------------------------------------------------
-    # main search
-    # ------------------------------------------------------------------
     def solve(
         self,
         assumptions: Iterable[int] = (),
@@ -530,102 +127,11 @@ class CdclSolver:
         """
         started = time.perf_counter()
         self.stats.solve_calls += 1
-        if not self._ok:
-            return SolveResult(satisfiable=False, stats=self.stats, core=[])
-
-        assumption_codes: list[int] = []
-        for lit in assumptions:
-            var = abs(lit)
-            self._ensure_vars(var)
-            assumption_codes.append((var << 1) | (1 if lit < 0 else 0))
-
-        self._backtrack(0)
-        if self._propagate() is not None:
-            self._ok = False
-            return SolveResult(satisfiable=False, stats=self.stats, core=[])
-
-        conflicts_here = 0
-        luby_index = 1
-        restart_base = self._restart_base
-        restart_budget = restart_base * _luby(luby_index)
-        conflicts_since_restart = 0
-        reduce_budget = self._reduce_base
-
-        while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                self.stats.conflicts += 1
-                conflicts_here += 1
-                conflicts_since_restart += 1
-                if not self._trail_lim:
-                    self._ok = False
-                    self._finish_timer(started)
-                    return SolveResult(
-                        satisfiable=False, stats=self.stats, core=[]
-                    )
-                learnt, back_level = self._analyze(conflict)
-                self._backtrack(back_level)
-                self._record_learnt(learnt)
-                self._var_inc *= self._var_decay
-                if max_conflicts is not None and conflicts_here >= max_conflicts:
-                    self._backtrack(0)
-                    self._finish_timer(started)
-                    return SolveResult(satisfiable=None, stats=self.stats)
-                if timeout_s is not None and (
-                    conflicts_here % 64 == 0
-                    and time.perf_counter() - started > timeout_s
-                ):
-                    self._backtrack(0)
-                    self._finish_timer(started)
-                    return SolveResult(satisfiable=None, stats=self.stats)
-                if len(self._learnts) > reduce_budget:
-                    self._reduce_db()
-                    reduce_budget += 1000
-                if conflicts_since_restart >= restart_budget:
-                    self.stats.restarts += 1
-                    luby_index += 1
-                    restart_budget = restart_base * _luby(luby_index)
-                    conflicts_since_restart = 0
-                    self._backtrack(0)
-                continue
-
-            # Assumption handling: decide the first unassigned assumption.
-            decided_assumption = False
-            failed_core: list[int] | None = None
-            for code in assumption_codes:
-                value = self._value(code)
-                if value == 0:
-                    failed_core = self._analyze_final(code)
-                    break
-                if value == _UNASSIGNED:
-                    self._trail_lim.append(len(self._trail))
-                    self._enqueue(code, None)
-                    decided_assumption = True
-                    break
-            if failed_core is not None:
-                self._backtrack(0)
-                self._finish_timer(started)
-                return SolveResult(
-                    satisfiable=False, stats=self.stats, core=failed_core
-                )
-            if decided_assumption:
-                continue
-
-            var = self._pick_branch_var()
-            if var is None:
-                model = [0] * (self.n_vars + 1)
-                for v in range(1, self.n_vars + 1):
-                    model[v] = self._assign[v] if self._assign[v] != _UNASSIGNED else 0
-                self._backtrack(0)
-                self._finish_timer(started)
-                return SolveResult(satisfiable=True, model=model, stats=self.stats)
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            code = (var << 1) | (1 - self._phase[var])
-            self._enqueue(code, None)
-
-    def _finish_timer(self, started: float) -> None:
+        satisfiable, model, core = self._kernel.solve(
+            list(assumptions), max_conflicts, timeout_s
+        )
         self.stats.solve_time += time.perf_counter() - started
+        return SolveResult(satisfiable, model=model, stats=self.stats, core=core)
 
     # ------------------------------------------------------------------
     # convenience
@@ -633,16 +139,3 @@ class CdclSolver:
     def solve_cnf(self, cnf: Cnf, **kwargs) -> SolveResult:
         self.add_cnf(cnf)
         return self.solve(**kwargs)
-
-
-def _luby(i: int) -> int:
-    """The Luby restart sequence 1,1,2,1,1,2,4,..."""
-    k = 1
-    while (1 << (k + 1)) - 1 <= i:
-        k += 1
-    while i > (1 << k) - 1:
-        i -= (1 << k) - 1
-        k = 1
-        while (1 << (k + 1)) - 1 <= i:
-            k += 1
-    return 1 << (k - 1) if k > 0 else 1

@@ -555,9 +555,11 @@ class TestArtifactSchema:
             "python",
             "platform",
             "code_version",
+            "sat_kernel",
         }
         assert len(run["run_id"]) == 12
         assert len(run["code_version"]) == 20
+        assert run["sat_kernel"] == "python" or run["sat_kernel"].startswith("native:")
         # The experiment data lives under one payload block on disk...
         assert set(data["payload"]) == {
             "experiment",

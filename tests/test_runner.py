@@ -8,6 +8,8 @@ timeout handling, and the JSON/CSV artifact round-trip.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.reports.profiles import (
 )
 from repro.runner.artifacts import load_artifact, write_artifact
 from repro.runner.scheduler import RunnerError, run_jobs
+from repro.runner import spec as spec_module
 from repro.runner.spec import JobSpec, code_version
 from repro.runner.store import ResultStore
 
@@ -93,6 +96,15 @@ class TestJobSpec:
     def test_code_version_is_stable_hex(self):
         assert code_version() == code_version()
         int(code_version(), 16)
+
+    def test_fingerprint_sees_the_native_kernel_source(self, tmp_path):
+        # Editing _kernel.c must orphan cached results like a .py edit does.
+        tree = tmp_path / "repro"
+        shutil.copytree(Path(spec_module.__file__).resolve().parents[1], tree)
+        before = spec_module._fingerprint_source_tree(tree)
+        kernel = tree / "sat" / "_kernel.c"
+        kernel.write_text(kernel.read_text() + "\n/* edited */\n")
+        assert spec_module._fingerprint_source_tree(tree) != before
 
 
 class TestResultStore:
