@@ -815,7 +815,8 @@ def cmd_opt(args: argparse.Namespace) -> int:
         print(
             f"  [=] {label}: {stats.gates_before} -> {stats.gates_after} gates "
             f"({stats.reduction:.1%} removed), "
-            f"{len(stats.unused_inputs)} unused input(s)",
+            f"{len(stats.unused_inputs)} unused input(s), "
+            f"converged: {str(stats.converged).lower()}",
             file=sys.stderr,
         )
     title = (

@@ -322,19 +322,25 @@ def check_opt_equivalence(
     pattern lanes.  This is how the optimizer is adversarially tested by
     the campaign machinery: every sampled circuit shape exercises it,
     failures shrink and land in the crash corpus like any other bug.
+
+    One ``optimize`` call at the highest level yields every level's
+    netlist: level 1 is the fixpoint that run starts from.
     """
     from repro.opt import optimize
 
     n = n_patterns or N_COMB_PATTERNS
     states = [random_bits(netlist.n_dffs, rng) for _ in range(n)]
     pis = [random_bits(len(netlist.inputs), rng) for _ in range(n)]
+    levels = sorted({level for level in levels if level >= 1})
+    if not levels:
+        return []  # level 0 is the identity by definition
     want = predict_capture(netlist, states, pis)
 
+    result = optimize(netlist, level=levels[-1])
+    by_level = {1: result.level1, levels[-1]: result.netlist}
     violations: list[InvariantViolation] = []
     for level in levels:
-        if level < 1:
-            continue  # level 0 is the identity by definition
-        optimized = optimize(netlist, level=level).netlist
+        optimized = by_level[level]
         if (
             optimized.inputs != netlist.inputs
             or optimized.outputs != netlist.outputs

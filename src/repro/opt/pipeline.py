@@ -9,7 +9,9 @@ Levels (cumulative):
   told otherwise.
 * ``2`` -- level 1 plus SAT sweeping: simulation-proposed equivalences
   confirmed through the incremental solver's assumption API and merged,
-  re-running the level-1 fixpoint after each merge round.
+  re-running the level-1 fixpoint after each merge round, until a round
+  proves nothing new (every proven merge is already a pinned alias) or
+  its rebuild reproduces the round's input.
 
 The pipeline pins the whole netlist interface automatically: primary
 inputs (hence key inputs), primary outputs, and flip-flop Q/D nets are
@@ -21,7 +23,8 @@ pinned with ``pin=``.
 ``level=`` arguments always win.  Every pass reports an
 :class:`OptStats` entry (gates before/after, wall time) so callers --
 the ``dynunlock opt`` CLI, the opt bench -- can show where the
-reduction came from.
+reduction came from; ``OptStats.converged`` says whether every loop
+reached its fixpoint rather than a safety bound.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.observability import spans as obs
 from repro.opt.satsweep import sat_sweep
@@ -40,8 +44,9 @@ from repro.opt.sweep import sweep
 DEFAULT_LEVEL = 1
 MAX_LEVEL = 2
 
-#: Safety bound on fixpoint iteration (reached only by pathological
-#: oscillation, which the rewrites are not expected to exhibit).
+#: Safety bounds on fixpoint iteration (reached only by pathological
+#: oscillation, which the rewrites are not expected to exhibit); running
+#: out clears ``OptStats.converged``.
 _MAX_FIXPOINT_ROUNDS = 8
 _MAX_SATSWEEP_ROUNDS = 4
 
@@ -93,6 +98,8 @@ class OptStats:
     time_s: float
     passes: list[PassStats] = field(default_factory=list)
     unused_inputs: list[str] = field(default_factory=list)
+    #: False when a fixpoint loop stopped at its safety bound instead.
+    converged: bool = True
 
     @property
     def gates_removed(self) -> int:
@@ -113,6 +120,7 @@ class OptStats:
             "gates_removed": self.gates_removed,
             "reduction": self.reduction,
             "time_s": self.time_s,
+            "converged": self.converged,
             "unused_inputs": list(self.unused_inputs),
             "passes": [p.as_dict() for p in self.passes],
         }
@@ -120,10 +128,16 @@ class OptStats:
 
 @dataclass
 class OptResult:
-    """The optimized netlist plus the stats that produced it."""
+    """The optimized netlist plus the stats that produced it.
+
+    ``level1`` is the level-1 fixpoint a level >= 1 run starts from (the
+    result itself at level 1, None at level 0), so one level-2 call
+    yields both levels' netlists.
+    """
 
     netlist: Netlist
     stats: OptStats
+    level1: Netlist | None = None
 
 
 def _interface_pins(netlist: Netlist, extra: frozenset[str]) -> frozenset[str]:
@@ -161,43 +175,12 @@ def optimize(
         return OptResult(netlist=netlist, stats=stats)
 
     pinned = _interface_pins(netlist, frozenset(pin))
-    current = _level1_fixpoint(netlist, pinned, stats)
+    current = level1 = _level1_fixpoint(netlist, pinned, stats)
 
     if level >= 2:
-        for _ in range(_MAX_SATSWEEP_ROUNDS):
-            before = current.n_gates
-            t0 = time.perf_counter()
-            substitutions, detail = sat_sweep(
-                current,
-                pinned,
-                seed=sat_seed,
-                max_checks=sat_max_checks,
-            )
-            stats.passes.append(
-                PassStats(
-                    "satsweep",
-                    before,
-                    before,  # merges apply in the rebuild below
-                    time.perf_counter() - t0,
-                    detail,
-                )
-            )
-            if not substitutions:
-                break
-            t0 = time.perf_counter()
-            merged, detail = structural_hash(
-                current, pinned, substitutions=substitutions
-            )
-            stats.passes.append(
-                PassStats(
-                    "satsweep-merge",
-                    before,
-                    merged.n_gates,
-                    time.perf_counter() - t0,
-                    detail,
-                )
-            )
-            current = _level1_fixpoint(merged, pinned, stats)
+        current = _satsweep_fixpoint(
+            current, pinned, stats, seed=sat_seed, max_checks=sat_max_checks
+        )
 
     stats.gates_after = current.n_gates
     stats.time_s = time.perf_counter() - started
@@ -209,7 +192,7 @@ def optimize(
         # One span update per pipeline run; nothing on the per-pass path.
         obs.add_phase("opt", stats.time_s)
         obs.incr("opt_gates_removed", stats.gates_removed)
-    return OptResult(netlist=current, stats=stats)
+    return OptResult(netlist=current, stats=stats, level1=level1)
 
 
 def _level1_fixpoint(
@@ -243,4 +226,85 @@ def _level1_fixpoint(
         if swept.gates == current.gates:
             return swept
         current = swept
+    stats.converged = False
     return current
+
+
+def _satsweep_fixpoint(
+    netlist: Netlist,
+    pinned: frozenset[str],
+    stats: OptStats,
+    *,
+    seed: int,
+    max_checks: int,
+) -> Netlist:
+    """Prove-and-merge rounds until one leaves the netlist unchanged.
+
+    Both stops are exact: ``sat_sweep`` and the rebuild are pure
+    functions of the netlist, so a round whose merges are all already
+    realised, or whose rebuild reproduces its input, would repeat
+    forever.
+    """
+    current = netlist
+    for _ in range(_MAX_SATSWEEP_ROUNDS):
+        before = current.n_gates
+        t0 = time.perf_counter()
+        substitutions, detail = sat_sweep(
+            current, pinned, seed=seed, max_checks=max_checks
+        )
+        stats.passes.append(
+            PassStats(
+                "satsweep",
+                before,
+                before,  # merges apply in the rebuild below
+                time.perf_counter() - t0,
+                detail,
+            )
+        )
+        if all(
+            _realised(current, net, value)
+            for net, value in substitutions.items()
+        ):
+            return current
+        t0 = time.perf_counter()
+        merged, detail = structural_hash(
+            current, pinned, substitutions=substitutions
+        )
+        stats.passes.append(
+            PassStats(
+                "satsweep-merge",
+                before,
+                merged.n_gates,
+                time.perf_counter() - t0,
+                detail,
+            )
+        )
+        rebuilt = _level1_fixpoint(merged, pinned, stats)
+        if _same_netlist(rebuilt, current):
+            return current
+        current = rebuilt
+    stats.converged = False
+    return current
+
+
+def _realised(netlist: Netlist, net: str, value: str | int) -> bool:
+    """Is the substitution ``net -> value`` already an alias gate?
+
+    The rebuild materialises a merged pinned net as ``BUF(rep)`` or a
+    constant gate; merging it again re-creates exactly that gate.
+    """
+    gate = netlist.gates[net]
+    if isinstance(value, int):
+        return gate.gtype is (GateType.CONST1 if value else GateType.CONST0)
+    return gate.gtype is GateType.BUF and gate.inputs == (value,)
+
+
+def _same_netlist(a: Netlist, b: Netlist) -> bool:
+    """Equal name, interface, flops and gates, all in order."""
+    return (
+        a.name == b.name
+        and a.inputs == b.inputs
+        and a.outputs == b.outputs
+        and list(a.dffs.values()) == list(b.dffs.values())
+        and list(a.gates.values()) == list(b.gates.values())
+    )

@@ -48,12 +48,12 @@ DEFAULT_MAX_CONFLICTS = 5_000
 
 
 def simulation_signatures(
-    netlist: Netlist,
+    sim: BitParallelSimulator,
     rng: random.Random,
     n_rounds: int = DEFAULT_ROUNDS,
 ) -> dict[str, list[int]]:
     """Random-lane signatures of every net (``n_rounds`` x 64 patterns)."""
-    sim = BitParallelSimulator(netlist)
+    netlist = sim.netlist
     free = list(netlist.inputs) + netlist.dff_q_nets()
     signatures: dict[str, list[int]] = {net: [] for net in sim.net_index}
     for _ in range(n_rounds):
@@ -93,7 +93,8 @@ def sat_sweep(
         return {}, stats
 
     rng = random.Random(hash_label(seed, f"opt/satsweep/{netlist.name}"))
-    signatures = simulation_signatures(netlist, rng, n_rounds)
+    sim = BitParallelSimulator(netlist)
+    signatures = simulation_signatures(sim, rng, n_rounds)
     mask = lane_mask(PACK_WORD_BITS)
 
     # Topological rank: free nets first (they are always preferred
@@ -105,7 +106,6 @@ def sat_sweep(
         rank[gate.output] = len(rank)
 
     solver, var_of = _encode(netlist)
-    sim = BitParallelSimulator(netlist)
 
     def refine(pattern: dict[str, int]) -> None:
         """Fold one counterexample pattern into every signature.

@@ -5,11 +5,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench_suite.generator import GeneratorConfig, generate_circuit
+import repro.opt
+import repro.opt.pipeline
+from repro.bench_suite.generator import (
+    GeneratorConfig,
+    generate_circuit,
+    sample_config,
+)
 from repro.bench_suite.registry import build_benchmark_netlist, smallest_benchmarks
 from repro.fuzz.invariants import check_opt_equivalence, predict_capture
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
+from repro.netlist.transform import copy_netlist
 from repro.netlist.validate import validate_netlist
 from repro.opt import DEFAULT_LEVEL, MAX_LEVEL, optimize, resolve_level
 from repro.opt.satsweep import sat_sweep
@@ -34,6 +41,12 @@ def sampled_netlist(seed: int, n_flops: int = 6) -> Netlist:
     return generate_circuit(config, rng, name=f"t{seed}")
 
 
+def fuzz_shaped_netlist(seed: int) -> Netlist:
+    """A circuit drawn the way the fuzz sampler draws trial shapes."""
+    rng = random.Random(seed)
+    return generate_circuit(sample_config(rng), rng, name=f"fuzz{seed:04x}")
+
+
 def assert_interface_preserved(original: Netlist, optimized: Netlist) -> None:
     assert optimized.inputs == original.inputs
     assert optimized.outputs == original.outputs
@@ -50,6 +63,23 @@ def assert_replay_equal(original: Netlist, optimized: Netlist, seed: int = 0) ->
     assert predict_capture(optimized, states, pis) == predict_capture(
         original, states, pis
     )
+
+
+def duplicated_cone() -> Netlist:
+    """Two structurally *different* but equivalent cones."""
+    netlist = Netlist()
+    for net in ("a", "b"):
+        netlist.add_input(net)
+    # y1 = a XOR b built directly; y2 = the AND/OR expansion.
+    netlist.add_gate("y1", GateType.XOR, ["a", "b"])
+    netlist.add_gate("na", GateType.NOT, ["a"])
+    netlist.add_gate("nb", GateType.NOT, ["b"])
+    netlist.add_gate("t1", GateType.AND, ["a", "nb"])
+    netlist.add_gate("t2", GateType.AND, ["na", "b"])
+    netlist.add_gate("y2", GateType.OR, ["t1", "t2"])
+    netlist.add_output("y1")
+    netlist.add_output("y2")
+    return netlist
 
 
 # ----------------------------------------------------------------------
@@ -248,24 +278,8 @@ class TestSweep:
 # SAT sweeping
 # ----------------------------------------------------------------------
 class TestSatSweep:
-    def duplicated_cone(self):
-        """Two structurally *different* but equivalent cones."""
-        netlist = Netlist()
-        for net in ("a", "b"):
-            netlist.add_input(net)
-        # y1 = a XOR b built directly; y2 = the AND/OR expansion.
-        netlist.add_gate("y1", GateType.XOR, ["a", "b"])
-        netlist.add_gate("na", GateType.NOT, ["a"])
-        netlist.add_gate("nb", GateType.NOT, ["b"])
-        netlist.add_gate("t1", GateType.AND, ["a", "nb"])
-        netlist.add_gate("t2", GateType.AND, ["na", "b"])
-        netlist.add_gate("y2", GateType.OR, ["t1", "t2"])
-        netlist.add_output("y1")
-        netlist.add_output("y2")
-        return netlist
-
     def test_proves_equivalence_cse_cannot_see(self):
-        netlist = self.duplicated_cone()
+        netlist = duplicated_cone()
         # Structural hashing alone cannot merge the two encodings...
         hashed, _ = structural_hash(netlist, frozenset(netlist.outputs))
         assert hashed.n_gates == netlist.n_gates
@@ -275,7 +289,7 @@ class TestSatSweep:
         assert stats["proven_pairs"] >= 1
 
     def test_level2_merges_and_preserves_behaviour(self):
-        netlist = self.duplicated_cone()
+        netlist = duplicated_cone()
         result = optimize(netlist, level=2)
         assert result.netlist.n_gates < netlist.n_gates
         assert_replay_equal(netlist, result.netlist)
@@ -446,3 +460,158 @@ class TestModelReduction:
         stats = optimize(model.netlist, level=1).stats
         assert stats.reduction > 0.15  # measured ~0.3 at this shape
         assert stats.gates_after < stats.gates_before
+
+
+# ----------------------------------------------------------------------
+# the SAT-sweep loop stops at its fixpoint, byte-identically
+# ----------------------------------------------------------------------
+def oracle_optimize(netlist: Netlist, level: int) -> Netlist:
+    """The pipeline before the SAT-sweep loop learned to stop.
+
+    Every round re-proves and re-merges -- already-pinned aliases
+    included -- until a sweep proves nothing or four rounds ran.
+    """
+    pinned = set(netlist.outputs)
+    for dff in netlist.dffs.values():
+        pinned.update((dff.d, dff.q))
+    pinned = frozenset(pinned)
+
+    def level1(current: Netlist) -> Netlist:
+        for _ in range(8):
+            hashed, _ = structural_hash(current, pinned)
+            swept, _ = sweep(hashed, pinned)
+            if swept.gates == current.gates:
+                return swept
+            current = swept
+        return current
+
+    current = level1(netlist)
+    if level >= 2:
+        for _ in range(4):
+            substitutions, _ = sat_sweep(current, pinned)
+            if not substitutions:
+                break
+            merged, _ = structural_hash(
+                current, pinned, substitutions=substitutions
+            )
+            current = level1(merged)
+    return current
+
+
+def netlist_bytes(netlist: Netlist) -> bytes:
+    """Name, interface, flops and gates, all in order."""
+    return repr(
+        (
+            netlist.name,
+            netlist.inputs,
+            netlist.outputs,
+            list(netlist.dffs.values()),
+            list(netlist.gates.values()),
+        )
+    ).encode()
+
+
+class TestSatSweepFixpoint:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), level=st.sampled_from(LEVELS))
+    def test_matches_old_loop_on_sampled_netlists(self, seed, level):
+        netlist = sampled_netlist(seed)
+        got = optimize(netlist, level=level).netlist
+        assert netlist_bytes(got) == netlist_bytes(oracle_optimize(netlist, level))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), level=st.sampled_from(LEVELS))
+    def test_matches_old_loop_on_fuzz_shapes(self, seed, level):
+        netlist = fuzz_shaped_netlist(seed)
+        got = optimize(netlist, level=level).netlist
+        assert netlist_bytes(got) == netlist_bytes(oracle_optimize(netlist, level))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_level2_carries_the_level1_fixpoint(self, seed):
+        netlist = fuzz_shaped_netlist(seed)
+        result = optimize(netlist, level=2)
+        level1 = optimize(netlist, level=1)
+        assert netlist_bytes(result.level1) == netlist_bytes(level1.netlist)
+        assert level1.level1 is level1.netlist
+
+    def test_duplicated_cone_stops_after_two_sweeps(self):
+        stats = optimize(duplicated_cone(), level=2).stats
+        sweeps = [p for p in stats.passes if p.name == "satsweep"]
+        assert len(sweeps) <= 2
+        assert stats.converged is True
+        assert stats.as_dict()["converged"] is True
+
+    def test_round_cap_clears_converged(self, monkeypatch):
+        monkeypatch.setattr(repro.opt.pipeline, "_MAX_SATSWEEP_ROUNDS", 1)
+        stats = optimize(duplicated_cone(), level=2).stats
+        assert stats.converged is False
+        assert stats.as_dict()["converged"] is False
+
+
+# ----------------------------------------------------------------------
+# one optimize call still catches a bug at either level
+# ----------------------------------------------------------------------
+_INVERTED = {
+    GateType.AND: GateType.NAND,
+    GateType.NAND: GateType.AND,
+    GateType.OR: GateType.NOR,
+    GateType.NOR: GateType.OR,
+    GateType.XOR: GateType.XNOR,
+    GateType.XNOR: GateType.XOR,
+    GateType.BUF: GateType.NOT,
+    GateType.NOT: GateType.BUF,
+}
+
+
+def invert_first_output(netlist: Netlist) -> Netlist:
+    """A copy whose first primary output computes the complement."""
+    planted = copy_netlist(netlist)
+    net = planted.outputs[0]
+    gate = planted.remove_gate(net)
+    planted.add_gate(net, _INVERTED[gate.gtype], gate.inputs)
+    return planted
+
+
+class TestOptEquivalenceOneCall:
+    def test_planted_level1_bug_is_reported(self, monkeypatch):
+        real = repro.opt.optimize
+
+        def level1_bug(netlist, level=None, **kwargs):
+            # A wrong level-1 netlist next to a right level-2 one.
+            result = real(netlist, level=level, **kwargs)
+            result.level1 = invert_first_output(result.level1)
+            return result
+
+        monkeypatch.setattr(repro.opt, "optimize", level1_bug)
+        violations = check_opt_equivalence(duplicated_cone(), random.Random(0))
+        assert [v.detail for v in violations] == [
+            "level 1 optimization diverges from the original netlist "
+            "under bit-parallel replay"
+        ]
+
+    def test_planted_satsweep_merge_bug_is_reported(self, monkeypatch):
+        real = repro.opt.pipeline.sat_sweep
+
+        def wrong_representative(netlist, pinned, **kwargs):
+            substitutions, detail = real(netlist, pinned, **kwargs)
+            # Merge every proven net into the first input instead.
+            return {net: netlist.inputs[0] for net in substitutions}, detail
+
+        calls = []
+        real_optimize = repro.opt.optimize
+
+        def counted(netlist, level=None, **kwargs):
+            calls.append(level)
+            return real_optimize(netlist, level=level, **kwargs)
+
+        monkeypatch.setattr(
+            repro.opt.pipeline, "sat_sweep", wrong_representative
+        )
+        monkeypatch.setattr(repro.opt, "optimize", counted)
+        violations = check_opt_equivalence(duplicated_cone(), random.Random(0))
+        assert [v.detail for v in violations] == [
+            "level 2 optimization diverges from the original netlist "
+            "under bit-parallel replay"
+        ]
+        assert calls == [2]  # one call checks both levels
