@@ -193,33 +193,27 @@ class SatAttack:
         self.key_vars_b = [
             self.encoder.var_for(f"B::{net}") for net in self.key_inputs
         ]
-        self._synced_clauses = self.solver.absorb(cnf)
+        self._synced = self.solver.absorb(cnf)
 
     def _sync_solver(self) -> None:
         """Push clauses added to the CNF since the last sync."""
-        self._synced_clauses = self.solver.absorb(
-            self.encoder.cnf, already_synced=self._synced_clauses
-        )
+        self._synced = self.solver.absorb(self.encoder.cnf, already_synced=self._synced)
 
     def add_dip_constraint(self, dip: list[int], response: list[int]) -> None:
         """Both key copies must reproduce the oracle response on this DIP.
 
         Stamps one fresh template copy per key side (keys shared with the
         miter copies, everything else fresh) and pins its X inputs and
-        outputs to the observed pattern, then streams the new clauses
-        into the incremental session.
+        outputs to the observed pattern with unit clauses, then streams
+        the new clauses into the incremental session.
         """
         cnf = self.encoder.cnf
+        pins = list(zip(self.x_inputs, dip)) + list(zip(self.locked.outputs, response))
         for side in ("A", "B"):
             self._copy_count += 1
             prefix = f"{side}{self._copy_count}::"
             mapping = self._encode_copy(prefix, share_keys_with=f"{side}::")
-            for net, bit in zip(self.x_inputs, dip):
-                var = mapping[net]
-                cnf.add_clause([var if bit else -var])
-            for net, bit in zip(self.locked.outputs, response):
-                var = mapping[net]
-                cnf.add_clause([var if bit else -var])
+            cnf.add_units([mapping[net] if bit else -mapping[net] for net, bit in pins])
         self._sync_solver()
 
     def current_key(self, extra_assumptions: Sequence[int] = ()) -> list[int] | None:

@@ -118,7 +118,7 @@ def _kernel_once(netlist, lock, kb, patterns):
     fingerprint = (
         outputs,
         enc.n_locals,
-        enc.clauses,
+        enc.shifted,
         list(enc.net_local.items()),
         stats.gates_after,
     )

@@ -21,8 +21,7 @@
 #include <string.h>
 #include <time.h>
 
-enum { ST_UNSAT = 0, ST_SAT = 1, ST_UNKNOWN = 2, ST_PAUSED = 3, ST_MODEL_ERROR = 4,
-       ST_BAD_LITERAL = -1 };
+enum { ST_UNSAT = 0, ST_SAT = 1, ST_UNKNOWN = 2, ST_PAUSED = 3, ST_BAD_LITERAL = -1 };
 
 enum { DECISIONS, PROPAGATIONS, CONFLICTS, RESTARTS, LEARNED, DELETED, N_COUNTERS };
 
@@ -561,16 +560,16 @@ int32_t k_new_var(Solver *s) { return new_var(s); }
  * ST_BAD_LITERAL for a literal 0. */
 int k_add_clause(Solver *s, const int32_t *lits, int64_t n) {
     if (!s->ok) return 0;
+    for (int64_t i = 0; i < n; i++)
+        if (lits[i] == 0) return ST_BAD_LITERAL;
     if (s->trail_lim.n) backtrack(s, 0);
+    for (int64_t i = 0; i < n; i++) vpush(&s->orig, lits[i]);
+    vpush(&s->orig, 0);
     vec *codes = &s->codes;
     codes->n = 0;
     int result = -2;
     for (int64_t i = 0; i < n; i++) {
         int32_t lit = lits[i];
-        if (lit == 0) {
-            result = ST_BAD_LITERAL;
-            break;
-        }
         int32_t var = lit < 0 ? -lit : lit;
         ensure_vars(s, var);
         int32_t code = (var << 1) | (lit < 0);
@@ -589,9 +588,6 @@ int k_add_clause(Solver *s, const int32_t *lits, int64_t n) {
         vpush(codes, code);
     }
     for (int64_t k = 0; k < codes->n; k++) s->cmark[codes->d[k]] = 0;
-    if (result == ST_BAD_LITERAL) return result;
-    for (int64_t i = 0; i < n; i++) vpush(&s->orig, lits[i]);
-    vpush(&s->orig, 0);
     if (result == 1) return 1;
 
     if (codes->n == 0) {
@@ -612,8 +608,9 @@ int k_add_clause(Solver *s, const int32_t *lits, int64_t n) {
     return 1;
 }
 
-/* Add a batch: `flat` holds clauses of DIMACS literals, each ended by 0.
- * Variables up to `max_var` are created first.  Returns the ok flag. */
+/* Add a batch: `flat` holds clauses of DIMACS literals, each ended by 0;
+ * the caller guarantees flat[n - 1] == 0.  Variables up to `max_var` are
+ * created first.  Returns the ok flag. */
 int k_add_clauses(Solver *s, int32_t max_var, const int32_t *flat, int64_t n) {
     ensure_vars(s, max_var);
     int64_t i = 0;
@@ -744,8 +741,7 @@ int k_solve_run(Solver *s, int64_t chunk) {
             for (int32_t v = 1; v <= s->n_vars; v++)
                 s->model[v] = (uint8_t)(s->assign[v] < 0 ? 0 : s->assign[v]);
             backtrack(s, 0);
-            return k_check_model(s, s->model, (int64_t)s->n_vars + 1) < 0 ? ST_SAT
-                                                                          : ST_MODEL_ERROR;
+            return ST_SAT;
         }
         s->stats[DECISIONS]++;
         vpush(&s->trail_lim, s->trail_n);

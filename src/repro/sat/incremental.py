@@ -114,12 +114,12 @@ class IncrementalSolver(CdclSolver):
     # bulk intake
     # ------------------------------------------------------------------
     def absorb(self, cnf: Cnf, already_synced: int = 0) -> int:
-        """Stream ``cnf.clauses[already_synced:]`` into the session.
+        """Stream the clauses in ``cnf.lits[already_synced:]`` into the session.
 
         Callers that keep growing one :class:`Cnf` (the Tseitin encoder's
         output) pass the previous return value back in, so each call
-        transfers only the new suffix.  Returns the new synced count.
+        transfers only the new suffix.  Returns the sync mark: the length
+        of ``cnf.lits``, a literal offset (not a clause count).
         """
-        clauses = cnf.clauses
-        self._kernel.add_clauses(cnf.n_vars, clauses[already_synced:])
-        return len(clauses)
+        self._kernel.add_flat(cnf.n_vars, cnf.lits, already_synced)
+        return len(cnf.lits)

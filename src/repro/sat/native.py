@@ -11,8 +11,10 @@ the pure-Python kernel (:mod:`repro.sat.pykernel`).
 
 :class:`NativeKernel` is the ctypes face of the C solver state.  It has
 the same methods as :class:`repro.sat.pykernel.PythonKernel` and replays
-its search exactly; it also checks every SAT model against the clauses
-as they were added before returning it.
+its search exactly; like it, it checks every SAT model against the
+clauses as they were added before returning it.  Clause streams cross
+into C without a copy: :meth:`NativeKernel.add_flat` hands the address of
+the caller's ``array('i')`` to the kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import shlex
 import subprocess
 import tempfile
 from array import array
-from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,8 +45,7 @@ CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 #: solves.  Counted in conflicts, so the search itself is unchanged.
 CHUNK_CONFLICTS = 256
 
-_UNSAT, _SAT, _UNKNOWN, _PAUSED, _MODEL_ERROR, _BAD_LITERAL = 0, 1, 2, 3, 4, -1
-_TERMINATOR = (0,)
+_UNSAT, _SAT, _UNKNOWN, _PAUSED, _BAD_LITERAL = 0, 1, 2, 3, -1
 
 
 def source_hash() -> str:
@@ -184,19 +184,29 @@ class NativeKernel:
             raise ValueError("literal 0 is not allowed")
         return bool(status)
 
-    def add_clauses(self, max_var: int, clauses: Sequence[Sequence[int]]) -> None:
-        """One crossing for the whole batch, as 0-terminated literals."""
-        terminated = chain.from_iterable(zip(clauses, repeat(_TERMINATOR)))
-        buf = array("i", chain.from_iterable(terminated))
-        if buf.count(0) != len(clauses):
-            raise ValueError("literal 0 is not allowed")
-        self._lib.k_add_clauses(self._state, max_var, buf.buffer_info()[0], len(buf))
+    def add_flat(self, max_var: int, lits: array, start: int = 0) -> None:
+        """Add the 0-terminated clauses ``lits[start:]`` of an ``array('i')``.
+
+        The kernel reads the caller's buffer in place; variables up to
+        ``max_var`` are created first.
+        """
+        if lits.typecode != "i":
+            raise TypeError("a clause stream is an array('i')")
+        n = len(lits) - start
+        if n < 0 or (n and lits[-1] != 0):
+            raise ValueError("a clause stream must end in 0")
+        address = lits.buffer_info()[0] + start * lits.itemsize
+        self._lib.k_add_clauses(self._state, max_var, address, n)
         self._sync()
 
     def check_model(self, model: Sequence[int]) -> int:
         """Index of the first added clause ``model`` falsifies, or -1."""
         data = bytes(model)
         return self._lib.k_check_model(self._state, data, len(data))
+
+    def _model(self) -> bytes:
+        """The model the last satisfiable search left in the kernel."""
+        return ctypes.string_at(self._lib.k_model(self._state), self.n_vars + 1)
 
     def solve(
         self,
@@ -225,10 +235,10 @@ class NativeKernel:
             return None, None, None
         if status == _BAD_LITERAL:
             raise ValueError("literal 0 is not allowed")
-        model = list(ctypes.string_at(lib.k_model(state), self.n_vars + 1))
-        if status == _MODEL_ERROR:
+        model = self._model()
+        bad = self.check_model(model)
+        if bad >= 0:
             from repro.sat.solver import SolverError
 
-            bad = self.check_model(model)
             raise SolverError(f"native kernel model falsifies added clause #{bad}")
-        return True, model, None
+        return True, list(model), None

@@ -10,19 +10,32 @@ run it against, call by call.
 
 Literal encoding (internal): variable ``v`` (1-based) maps to codes
 ``2*v`` (positive) and ``2*v + 1`` (negative); ``code ^ 1`` negates.
-Public APIs use DIMACS-signed literals.
+Public APIs use DIMACS-signed literals.  Like the native kernel, this
+one keeps every added clause as given, 0-terminated in one flat stream,
+and checks each SAT model against that stream before returning it.
 """
 
 from __future__ import annotations
 
+import re
 import time
+from array import array
 from heapq import heappush, heappop
+from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from repro.sat.solver import SolverStats
 
 _UNASSIGNED = -1
+
+# Model check: a variable's value byte (3 = beyond the model) mapped to the
+# truth of its positive and its negative literal.
+_POSITIVE = bytes.maketrans(b"\x00\x01\x03", b"\x00\x01\x00")
+_NEGATIVE = bytes.maketrans(b"\x00\x01\x03", b"\x01\x00\x00")
+# A clause with no true literal, in the per-literal truth bytes of the
+# stream where 2 marks a terminator.
+_FALSIFIED = re.compile(rb"(?:^|\x02)\x00*\x02")
 
 
 class _Clause:
@@ -70,6 +83,7 @@ class PythonKernel:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._ok = True  # False once a top-level conflict is derived
+        self._orig = array("i")  # every added clause as given, 0-terminated
         self.stats = stats
 
     # ------------------------------------------------------------------
@@ -92,10 +106,18 @@ class PythonKernel:
         while self.n_vars < max_var:
             self.new_var()
 
-    def add_clauses(self, max_var: int, clauses: Sequence[Sequence[int]]) -> None:
+    def add_flat(self, max_var: int, lits: array, start: int = 0) -> None:
+        """Add the 0-terminated clauses ``lits[start:]``, split at each 0."""
+        if len(lits) > start and lits[-1] != 0:
+            raise ValueError("a clause stream must end in 0")
         self.ensure_vars(max_var)
-        for clause in clauses:
-            self.add_clause(clause)
+        clause: list[int] = []
+        for lit in islice(lits, start, None):
+            if lit:
+                clause.append(lit)
+            else:
+                self.add_clause(clause)
+                clause = []
 
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a clause of DIMACS literals.
@@ -105,15 +127,17 @@ class PythonKernel:
         """
         if not self._ok:
             return False
+        if 0 in lits:
+            raise ValueError("literal 0 is not allowed")
         if self._trail_lim:
             self._backtrack(0)
+        self._orig.extend(lits)
+        self._orig.append(0)
 
         codes: list[int] = []
         seen: set[int] = set()
         for lit in lits:
             var = abs(lit)
-            if var == 0:
-                raise ValueError("literal 0 is not allowed")
             self.ensure_vars(var)
             code = (var << 1) | (1 if lit < 0 else 0)
             if code ^ 1 in seen:
@@ -141,6 +165,27 @@ class PythonKernel:
         self._watches[codes[0]].append(clause)
         self._watches[codes[1]].append(clause)
         return True
+
+    def check_model(self, model: Sequence[int]) -> int:
+        """Index of the first added clause ``model`` falsifies, or -1.
+
+        ``model[v]`` is 0/1; variables at or beyond ``len(model)`` satisfy
+        neither of their literals.
+        """
+        values = bytes(model[1:]) + b"\x03" * (self.n_vars + 1 - len(model))
+        # truth[l] for a DIMACS literal l, negative l indexing from the end.
+        truth = (
+            b"\x02" + values.translate(_POSITIVE) + values[::-1].translate(_NEGATIVE)
+        )
+        marks = bytes(map(truth.__getitem__, self._orig))
+        falsified = _FALSIFIED.search(marks)
+        if falsified is None:
+            return -1
+        return marks.count(2, 0, falsified.end() - 1)
+
+    def _model(self) -> list[int]:
+        """The current full assignment, unassigned variables as 0."""
+        return [0] + [max(a, 0) for a in islice(self._assign, 1, None)]
 
     # ------------------------------------------------------------------
     # values / trail
@@ -531,10 +576,15 @@ class PythonKernel:
 
             var = self._pick_branch_var()
             if var is None:
-                model = [0] * (self.n_vars + 1)
-                for v in range(1, self.n_vars + 1):
-                    model[v] = self._assign[v] if self._assign[v] != _UNASSIGNED else 0
+                model = self._model()
                 self._backtrack(0)
+                bad = self.check_model(model)
+                if bad >= 0:
+                    from repro.sat.solver import SolverError
+
+                    raise SolverError(
+                        f"python kernel model falsifies added clause #{bad}"
+                    )
                 return True, model, None
             self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))

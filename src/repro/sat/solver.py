@@ -104,7 +104,7 @@ class CdclSolver:
         return self._kernel.new_var()
 
     def add_cnf(self, cnf: Cnf) -> None:
-        self._kernel.add_clauses(cnf.n_vars, cnf.clauses)
+        self._kernel.add_flat(cnf.n_vars, cnf.lits)
 
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a clause of DIMACS literals.

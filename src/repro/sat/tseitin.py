@@ -8,19 +8,23 @@ variables so clause counts stay linear.
 Two layers:
 
 * :func:`encoding_for` compiles a netlist **once** into a
-  :class:`NetlistEncoding` — clauses over a private local variable
-  numbering plus a net-name -> local-variable map.  Compilations are
-  cached per netlist object, so the incremental SAT attack pays the
+  :class:`NetlistEncoding` — a flat clause stream over a private local
+  variable numbering plus a net-name -> local-variable map.  Compilations
+  are cached per netlist object, so the incremental SAT attack pays the
   gate-walk and dict churn a single time per circuit.
 * :class:`CircuitEncoder` stamps template copies into a shared
-  :class:`Cnf`.  Stamping is pure integer translation (one fresh-variable
-  block plus a literal lookup table per copy), which is what makes
+  :class:`Cnf`.  Stamping is pure integer translation: one fresh-variable
+  block plus a signed lookup table per copy, through which the template
+  stream is mapped into the CNF's stream at C speed, which is what makes
   per-DIP miter extension cheap.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import neg
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
 
@@ -136,20 +140,35 @@ class NetlistEncoding:
     """A netlist compiled to CNF over local variables ``1..n_locals``.
 
     ``net_local`` maps every named net (primary inputs, gate outputs,
-    gate operand nets and primary outputs) to its local variable; the
-    remaining locals are Tseitin auxiliaries.  Templates are immutable
-    and shared between all stamped copies.
+    gate operand nets and primary outputs) to its local variable, in
+    increasing local order; the remaining locals are Tseitin
+    auxiliaries.  ``shifted`` is the clause stream with every literal
+    shifted by ``+n_locals`` (so the 0 terminator becomes ``n_locals``):
+    each entry indexes a copy's signed lookup table.  ``packer`` packs
+    one translated stream into the bytes of an ``array('i')``.  Templates
+    are immutable and shared between all stamped copies.
     """
 
     name: str
     n_locals: int
-    clauses: tuple[tuple[int, ...], ...]
+    n_clauses: int
+    shifted: tuple[int, ...]
+    packer: struct.Struct
     net_local: Mapping[str, int]
     fingerprint: tuple[int, int, int]
 
-    @property
-    def n_clauses(self) -> int:
-        return len(self.clauses)
+
+def _template(netlist: Netlist, cnf: Cnf, net_local: dict[str, int]) -> NetlistEncoding:
+    n = cnf.n_vars
+    return NetlistEncoding(
+        name=netlist.name,
+        n_locals=n,
+        n_clauses=cnf.n_clauses,
+        shifted=tuple(map(n.__add__, cnf.lits)),
+        packer=struct.Struct(f"{len(cnf.lits)}i"),
+        net_local=net_local,
+        fingerprint=_fingerprint(netlist),
+    )
 
 
 _TEMPLATE_CACHE: "WeakKeyDictionary[Netlist, NetlistEncoding]" = WeakKeyDictionary()
@@ -186,13 +205,7 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
         encode_gate_clauses(cnf, gate, out, ins)
     for net in netlist.outputs:
         var_for(net)
-    return NetlistEncoding(
-        name=netlist.name,
-        n_locals=cnf.n_vars,
-        clauses=tuple(cnf.clauses),
-        net_local=net_local,
-        fingerprint=_fingerprint(netlist),
-    )
+    return _template(netlist, cnf, net_local)
 
 
 def _compile_encoding_ir(netlist: Netlist) -> NetlistEncoding:
@@ -235,13 +248,7 @@ def _compile_encoding_ir(netlist: Netlist) -> NetlistEncoding:
 
     names = ir.names
     net_local = {names[nid]: local[nid] for nid in assigned}
-    return NetlistEncoding(
-        name=netlist.name,
-        n_locals=cnf.n_vars,
-        clauses=tuple(cnf.clauses),
-        net_local=net_local,
-        fingerprint=_fingerprint(netlist),
-    )
+    return _template(netlist, cnf, net_local)
 
 
 def encoding_for(netlist: Netlist) -> NetlistEncoding:
@@ -308,29 +315,34 @@ class CircuitEncoder:
         return self.stamp(encoding_for(netlist), prefix=prefix)
 
     def stamp(self, template: NetlistEncoding, prefix: str = "") -> dict[str, int]:
-        """Instantiate a compiled template under ``prefix``."""
+        """Instantiate a compiled template under ``prefix``.
+
+        Locals whose net is already bound keep that variable; the others
+        get fresh variables in local order.  ``signed[n + l]`` is the
+        image of local literal ``l`` (``signed[n]`` is 0, the
+        terminator), so the template stream maps straight into the CNF
+        with no Python bytecode run per literal.
+        """
         cnf = self.cnf
         net_vars = self._net_vars
-        # Local -> global lookup table; slot 0 unused.
-        lut = [0] * (template.n_locals + 1)
-        for net, local in template.net_local.items():
-            bound = net_vars.get(prefix + net)
-            if bound is not None:
-                lut[local] = bound
-        next_var = cnf.n_vars
-        for local in range(1, template.n_locals + 1):
-            if lut[local] == 0:
-                next_var += 1
-                lut[local] = next_var
-        cnf.n_vars = next_var
+        nets = template.net_local
+        keys = [prefix + net for net in nets]
+        bound = list(map(net_vars.get, keys))
+        lut = [0]  # local -> global; slot 0 unused
+        next_var = cnf.n_vars + 1
+        for local, var in zip(compress(nets.values(), bound), filter(None, bound)):
+            fresh = local - len(lut)
+            lut.extend(range(next_var, next_var + fresh))
+            lut.append(var)
+            next_var += fresh
+        fresh = template.n_locals + 1 - len(lut)
+        lut.extend(range(next_var, next_var + fresh))
+        cnf.n_vars = next_var + fresh - 1
 
-        mapping: dict[str, int] = {}
-        for net, local in template.net_local.items():
-            var = lut[local]
-            net_vars[prefix + net] = var
-            mapping[net] = var
-
-        append = cnf.clauses.append
-        for clause in template.clauses:
-            append(tuple(lut[l] if l > 0 else -lut[-l] for l in clause))
-        return mapping
+        signed = [*map(neg, reversed(lut)), *islice(lut, 1, None)]
+        stream = map(signed.__getitem__, template.shifted)
+        cnf.lits.frombytes(template.packer.pack(*stream))
+        cnf.n_clauses += template.n_clauses
+        images = list(map(lut.__getitem__, nets.values()))
+        net_vars.update(zip(keys, images))
+        return dict(zip(nets, images))

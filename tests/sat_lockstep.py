@@ -69,8 +69,8 @@ class LockstepKernel:
     def add_clause(self, lits) -> bool:
         return self._both("add_clause", list(lits))
 
-    def add_clauses(self, max_var, clauses) -> None:
-        self._both("add_clauses", max_var, list(clauses))
+    def add_flat(self, max_var, lits, start=0) -> None:
+        self._both("add_flat", max_var, lits, start)
 
     def solve(self, assumptions, max_conflicts, timeout_s):
         return self._both("solve", assumptions, max_conflicts, timeout_s)

@@ -222,10 +222,9 @@ class TestAbsorb:
         cnf.add_clause([a, b])
         session = IncrementalSolver()
         synced = session.absorb(cnf)
-        assert synced == 1
+        assert synced == len(cnf.lits) == 3  # a literal offset: "a b 0"
         assert session.solve().satisfiable is True
-        cnf.add_clause([-a])
-        cnf.add_clause([-b])
+        cnf.add_units([-a, -b])
         synced = session.absorb(cnf, already_synced=synced)
-        assert synced == 3
+        assert synced == len(cnf.lits) == 7
         assert session.solve().satisfiable is False

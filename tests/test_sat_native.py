@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,8 @@ from repro.sat import native
 from repro.sat.cnf import Cnf
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.native import NativeKernel
-from repro.sat.solver import CdclSolver, SolverStats
+from repro.sat.pykernel import PythonKernel
+from repro.sat.solver import CdclSolver, SolverError, SolverStats
 from sat_lockstep import LockstepKernel, use_kernel
 from test_sat_solver import pigeonhole_cnf
 
@@ -134,13 +136,20 @@ class TestRandomSequences:
             with pytest.raises(ValueError):
                 solver.solve(assumptions=[0])
 
-    def test_bad_literal_in_a_batch_is_rejected_before_it_crosses(self):
+    def test_literal_0_and_unterminated_streams_never_cross(self):
         cnf = Cnf()
         cnf.add_clause([1, 2])
-        cnf.clauses.append([3, 0, 4])  # bypasses Cnf's own check
-        solver = CdclSolver()
         with pytest.raises(ValueError):
-            solver.add_cnf(cnf)
+            cnf.add_clause([3, 0, 4])
+        with pytest.raises(ValueError):
+            cnf.add_units([3, 0])
+        assert cnf.lits == array("i", [1, 2, 0])
+        cnf.lits.append(3)  # bypasses Cnf: the last clause lacks its 0
+        with use_kernel(LockstepKernel):
+            solver = CdclSolver()
+            with pytest.raises(ValueError):
+                solver.add_cnf(cnf)
+        assert lockstep_calls() == 1
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +222,13 @@ class TestRealCallSequences:
 # ----------------------------------------------------------------------
 # in-kernel model check
 # ----------------------------------------------------------------------
-@needs_native
-class TestModelCheck:
+class ModelCheckCases:
+    """Both kernels check every SAT model against the clauses as added."""
+
+    kernel_class: type
+
     def test_every_flipped_bit_is_caught(self):
-        kernel = NativeKernel(SolverStats(), 0.95, 128, 4000)
+        kernel = self.kernel_class(SolverStats(), 0.95, 128, 4000)
         # x1, x1 -> x2, ..., x9 -> x10: the only model sets every variable.
         kernel.add_clause([1])
         for v in range(1, 10):
@@ -230,7 +242,7 @@ class TestModelCheck:
             assert kernel.check_model(mutant) >= 0, f"flipping x{v} went unnoticed"
 
     def test_checks_clauses_as_added_not_as_simplified(self):
-        kernel = NativeKernel(SolverStats(), 0.95, 128, 4000)
+        kernel = self.kernel_class(SolverStats(), 0.95, 128, 4000)
         kernel.add_clause([1])
         kernel.add_clause([1, 2])  # satisfied at top level: never stored for search
         kernel.add_clause([-1, 3])  # simplified to the unit x3
@@ -238,6 +250,30 @@ class TestModelCheck:
         assert satisfiable is True
         assert kernel.check_model([0, 0, 0, 1]) == 0
         assert kernel.check_model([0, 1, 0, 0]) == 2
+        assert kernel.check_model([0, 1]) == 2  # x3 beyond the model is unset
+
+    def test_a_model_corrupted_after_the_search_is_caught(self):
+        class Corrupting(self.kernel_class):
+            def _model(self):
+                model = list(super()._model())
+                model[5] ^= 1
+                return model
+
+        kernel = Corrupting(SolverStats(), 0.95, 128, 4000)
+        kernel.add_clause([1])
+        for v in range(1, 10):
+            kernel.add_clause([-v, v + 1])
+        with pytest.raises(SolverError, match="falsifies added clause #"):
+            kernel.solve([], None, None)
+
+
+@needs_native
+class TestModelCheck(ModelCheckCases):
+    kernel_class = NativeKernel
+
+
+class TestPythonModelCheck(ModelCheckCases):
+    kernel_class = PythonKernel
 
 
 # ----------------------------------------------------------------------

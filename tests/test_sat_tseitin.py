@@ -11,7 +11,7 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
 from repro.sat.solver import CdclSolver
-from repro.sat.tseitin import CircuitEncoder
+from repro.sat.tseitin import CircuitEncoder, encoding_for
 from repro.sim.logicsim import evaluate
 
 
@@ -114,6 +114,40 @@ class TestSharing:
         solver.add_clause([map_a["y"], map_b["y"]])
         solver.add_clause([-map_a["y"], -map_b["y"]])  # y_a != y_b
         assert solver.solve().satisfiable is False
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_stamp_matches_per_literal_translation(self, seed):
+        rng = random.Random(seed)
+        config = GeneratorConfig(n_flops=5, n_inputs=4, n_outputs=3)
+        core, _, _ = extract_combinational_core(
+            generate_circuit(config, rng, name="st")
+        )
+        template = encoding_for(core)
+        n = template.n_locals
+        encoder = CircuitEncoder()
+        encoder.cnf.new_vars(rng.randrange(1, 20))
+        nets = list(template.net_local)
+        for net in rng.sample(nets, rng.randrange(len(nets) + 1)):
+            encoder.alias(f"P::{net}", rng.randrange(1, encoder.cnf.n_vars + 1))
+        # Reference: the image of every local, then one lookup per literal.
+        lut = [0] * (n + 1)
+        for net, local in template.net_local.items():
+            lut[local] = encoder._net_vars.get(f"P::{net}", 0)
+        next_var = encoder.cnf.n_vars
+        for local in range(1, n + 1):
+            if not lut[local]:
+                next_var += 1
+                lut[local] = next_var
+        locals_ = [lit - n for lit in template.shifted]
+        expected = [lut[l] if l > 0 else -lut[-l] if l else 0 for l in locals_]
+
+        start = len(encoder.cnf.lits)
+        mapping = encoder.stamp(template, prefix="P::")
+        assert encoder.cnf.lits[start:].tolist() == expected
+        assert encoder.cnf.n_vars == next_var
+        assert mapping == {net: lut[local] for net, local in template.net_local.items()}
+        assert all(encoder.var_for(f"P::{net}") == var for net, var in mapping.items())
 
     def test_alias_conflict_rejected(self):
         encoder = CircuitEncoder()
