@@ -2,8 +2,8 @@
 
 Layout: ``<root>/<invariant>/<trial-seed>.json``, one file per
 (invariant, trial) pair, written atomically (temp file + rename, the
-same idiom as :mod:`repro.runner.store`) so an interrupted campaign
-never leaves a torn entry.  Every entry carries the *shrunk* trial
+same idiom as :mod:`repro.runner.stores.json_file`) so an interrupted
+campaign never leaves a torn entry.  Every entry carries the *shrunk* trial
 params (what ``replay`` runs), the original sampled params (for
 forensics), the profile the failure was observed under, and the
 invariant + detail -- enough to re-demonstrate the failure on a clean

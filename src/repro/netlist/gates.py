@@ -9,15 +9,7 @@ netlist level, not as a gate type, because they have state.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
-
-try:  # numpy accelerates the vector path; the scalar path is stdlib-only
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np  # noqa: F811
+from typing import Sequence
 
 
 class GateType(Enum):
@@ -97,36 +89,6 @@ def evaluate_gate(gtype: GateType, inputs: Sequence[int]) -> int:
     if gtype is GateType.CONST1:
         return 1
     raise ValueError(f"unknown gate type {gtype!r}")  # pragma: no cover
-
-
-def evaluate_gate_vec(gtype: GateType, inputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate one gate on numpy bit arrays (vectorised over patterns)."""
-    if np is None:  # pragma: no cover - numpy-less CI leg
-        raise RuntimeError("evaluate_gate_vec requires numpy")
-    check_arity(gtype, len(inputs))
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        acc = inputs[0].copy()
-        for arr in inputs[1:]:
-            acc &= arr
-        return acc if gtype is GateType.AND else acc ^ 1
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        acc = inputs[0].copy()
-        for arr in inputs[1:]:
-            acc |= arr
-        return acc if gtype is GateType.OR else acc ^ 1
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        acc = inputs[0].copy()
-        for arr in inputs[1:]:
-            acc ^= arr
-        return acc if gtype is GateType.XOR else acc ^ 1
-    if gtype is GateType.NOT:
-        return inputs[0] ^ 1
-    if gtype is GateType.BUF:
-        return inputs[0].copy()
-    if gtype is GateType.MUX:
-        sel, in0, in1 = inputs
-        return (in0 & (sel ^ 1)) | (in1 & sel)
-    raise ValueError(f"vector evaluation unsupported for {gtype!r}")
 
 
 # .bench name -> GateType (both directions; BUFF is the ISCAS spelling).

@@ -4,7 +4,7 @@ Each function here computes exactly one grid cell of the paper's
 evaluation -- one (benchmark, lock scheme, attack, profile, seed)
 combination -- and returns a plain JSON-safe dict, so the result can be
 pickled back from a worker process, memoised in the
-:class:`~repro.runner.store.ResultStore`, and serialised into artifacts.
+:class:`~repro.runner.stores.ResultStore`, and serialised into artifacts.
 
 Determinism contract: every cell derives all randomness from
 ``hash_label`` streams keyed by its own parameters, and rebuilds its

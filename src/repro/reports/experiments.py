@@ -12,7 +12,7 @@ cells (one per :mod:`repro.reports.cells` invocation) and push them
 through :func:`repro.runner.scheduler.run_jobs`.  Every runner accepts
 
 * ``jobs`` -- worker processes (1 = serial in-process, the default);
-* ``store`` -- a :class:`~repro.runner.store.ResultStore` memoising
+* ``store`` -- a :class:`~repro.runner.stores.ResultStore` memoising
   finished cells, making re-runs resumable and incremental.
 
 Parallel and serial runs aggregate identical cell results in identical
@@ -38,7 +38,7 @@ from repro.reports.cells import _TABLE1_DEFENSES, table1_cell
 from repro.reports.profiles import ExperimentProfile
 from repro.runner.scheduler import JobOutcome, run_jobs
 from repro.runner.spec import JobSpec
-from repro.runner.store import ResultStore
+from repro.runner.stores import ResultStore
 
 ProgressFn = Callable[[str], None]
 

@@ -1,16 +1,21 @@
 """Experiment size profiles.
 
 The paper ran a 24-core Xeon with the lingeling C solver; this repo runs
-a pure-Python CDCL.  Profiles keep the experiment *structure* identical
+a small from-scratch CDCL (C search kernel, pure-Python fallback).  Profiles keep the experiment *structure* identical
 while shrinking instance sizes so the whole table regenerates on a
 laptop:
 
 * ``quick`` (default): circuits at 1/16 of the paper's scan-flop counts,
-  16-bit keys, one LFSR seed per circuit.  Minutes for all of Table II.
-* ``full``: 1/8 scale, 16-bit keys, two seeds.  Under an hour.
+  16-bit keys, one LFSR seed per circuit.  Seconds for all of Table II
+  (3.4 s serial), about 30 s for the whole ``benchmarks/`` suite.
+* ``full``: 1/8 scale, 16-bit keys, two seeds.  Table II in ~30 s
+  serial, the whole ``benchmarks/`` suite in about 7 minutes.
 * ``paper``: the paper's sizes (128-bit keys, full flop counts, ten
   seeds).  Provided for completeness; expect *days* with a Python solver
   -- the substitution is documented in DESIGN.md/EXPERIMENTS.md.
+
+The quick/full timings are wall time with the native SAT kernel on a
+2-core Linux container, measured 2026-10-18.
 
 Select with the ``REPRO_PROFILE`` environment variable.
 """

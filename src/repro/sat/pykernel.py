@@ -84,6 +84,9 @@ class PythonKernel:
         self._qhead = 0
         self._ok = True  # False once a top-level conflict is derived
         self._orig = array("i")  # every added clause as given, 0-terminated
+        # Largest variable named in _orig: a clause dropped as a tautology
+        # or as satisfied may name variables the search never created.
+        self._orig_max_var = 0
         self.stats = stats
 
     # ------------------------------------------------------------------
@@ -133,6 +136,7 @@ class PythonKernel:
             self._backtrack(0)
         self._orig.extend(lits)
         self._orig.append(0)
+        self._orig_max_var = max(self._orig_max_var, max(map(abs, lits), default=0))
 
         codes: list[int] = []
         seen: set[int] = set()
@@ -172,7 +176,8 @@ class PythonKernel:
         ``model[v]`` is 0/1; variables at or beyond ``len(model)`` satisfy
         neither of their literals.
         """
-        values = bytes(model[1:]) + b"\x03" * (self.n_vars + 1 - len(model))
+        width = max(self.n_vars, self._orig_max_var)
+        values = bytes(model[1:]) + b"\x03" * (width + 1 - len(model))
         # truth[l] for a DIMACS literal l, negative l indexing from the end.
         truth = (
             b"\x02" + values.translate(_POSITIVE) + values[::-1].translate(_NEGATIVE)

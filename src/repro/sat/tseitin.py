@@ -28,7 +28,6 @@ from operator import neg
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
 
-from repro.ir import GT_LIST, enabled as _ir_enabled, ir_for
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist
 from repro.sat.cnf import Cnf
@@ -38,17 +37,12 @@ from repro.sat.cnf import Cnf
 # gate clause emission (shared by template compilation and ad-hoc use)
 # ----------------------------------------------------------------------
 def encode_gate_clauses(cnf: Cnf, gate: Gate, out: int, ins: list[int]) -> None:
-    """Append the clause set for ``out <-> gate(ins)`` to ``cnf``."""
-    encode_gate_type(cnf, gate.gtype, out, ins)
+    """Append the clause set for ``out <-> gate(ins)`` to ``cnf``.
 
-
-def encode_gate_type(cnf: Cnf, gtype: GateType, out: int, ins: list[int]) -> None:
-    """Append the clause set for ``out <-> gtype(ins)`` to ``cnf``.
-
-    Shared by the gate-object walk and the array-IR compile (which
-    dispatches on :data:`repro.ir.GT_CODE` codes); clause order is part
-    of the template contract -- both compiles emit identical encodings.
+    Clause order is part of the template contract: the golden clause
+    stream digests pin it.
     """
+    gtype = gate.gtype
     add = cnf.add_clause
     if gtype is GateType.AND:
         for x in ins:
@@ -145,8 +139,9 @@ class NetlistEncoding:
     auxiliaries.  ``shifted`` is the clause stream with every literal
     shifted by ``+n_locals`` (so the 0 terminator becomes ``n_locals``):
     each entry indexes a copy's signed lookup table.  ``packer`` packs
-    one translated stream into the bytes of an ``array('i')``.  Templates
-    are immutable and shared between all stamped copies.
+    one translated stream into the bytes of an ``array('i')``.
+    ``version`` is the source netlist's mutation counter at compile time.
+    Templates are immutable and shared between all stamped copies.
     """
 
     name: str
@@ -155,27 +150,10 @@ class NetlistEncoding:
     shifted: tuple[int, ...]
     packer: struct.Struct
     net_local: Mapping[str, int]
-    fingerprint: tuple[int, int, int]
-
-
-def _template(netlist: Netlist, cnf: Cnf, net_local: dict[str, int]) -> NetlistEncoding:
-    n = cnf.n_vars
-    return NetlistEncoding(
-        name=netlist.name,
-        n_locals=n,
-        n_clauses=cnf.n_clauses,
-        shifted=tuple(map(n.__add__, cnf.lits)),
-        packer=struct.Struct(f"{len(cnf.lits)}i"),
-        net_local=net_local,
-        fingerprint=_fingerprint(netlist),
-    )
+    version: int
 
 
 _TEMPLATE_CACHE: "WeakKeyDictionary[Netlist, NetlistEncoding]" = WeakKeyDictionary()
-
-
-def _fingerprint(netlist: Netlist) -> tuple[int, int, int]:
-    return (len(netlist.inputs), len(netlist.outputs), len(netlist.gates))
 
 
 def compile_encoding(netlist: Netlist) -> NetlistEncoding:
@@ -185,8 +163,6 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
             "cannot Tseitin-encode a sequential netlist; "
             "build a combinational model first"
         )
-    if _ir_enabled():
-        return _compile_encoding_ir(netlist)
     cnf = Cnf()
     net_local: dict[str, int] = {}
 
@@ -205,63 +181,27 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
         encode_gate_clauses(cnf, gate, out, ins)
     for net in netlist.outputs:
         var_for(net)
-    return _template(netlist, cnf, net_local)
-
-
-def _compile_encoding_ir(netlist: Netlist) -> NetlistEncoding:
-    """Array-translation compile behind :func:`compile_encoding`.
-
-    Walks the flat IR arrays instead of gate objects: net -> local
-    variable becomes an int-array lookup and clause emission dispatches
-    on small gate-type codes.  Variable numbering (inputs, then per-gate
-    out/operand first use with XOR auxiliaries inline, then outputs) and
-    clause order replicate the gate-object walk exactly, so the two
-    compiles produce equal :class:`NetlistEncoding` objects and every
-    stamped copy downstream is byte-identical.
-    """
-    ir = ir_for(netlist)
-    cnf = Cnf()
-    local = [0] * ir.n_nets
-    assigned: list[int] = []  # net ids in local-variable assignment order
-    new_var = cnf.new_var
-
-    def var_of(nid: int) -> int:
-        var = local[nid]
-        if not var:
-            var = new_var()
-            local[nid] = var
-            assigned.append(nid)
-        return var
-
-    for nid in ir.pi:
-        var_of(nid)
-    gate_type = ir.gate_type.tolist()
-    gate_out = ir.gate_out.tolist()
-    offsets = ir.fanin_offset.tolist()
-    fanin = ir.fanin.tolist()
-    for gi in ir.topological_order().tolist():
-        out = var_of(gate_out[gi])
-        ins = [var_of(fanin[k]) for k in range(offsets[gi], offsets[gi + 1])]
-        encode_gate_type(cnf, GT_LIST[gate_type[gi]], out, ins)
-    for nid in ir.po:
-        var_of(nid)
-
-    names = ir.names
-    net_local = {names[nid]: local[nid] for nid in assigned}
-    return _template(netlist, cnf, net_local)
+    n = cnf.n_vars
+    return NetlistEncoding(
+        name=netlist.name,
+        n_locals=n,
+        n_clauses=cnf.n_clauses,
+        shifted=tuple(map(n.__add__, cnf.lits)),
+        packer=struct.Struct(f"{len(cnf.lits)}i"),
+        net_local=net_local,
+        version=netlist.version,
+    )
 
 
 def encoding_for(netlist: Netlist) -> NetlistEncoding:
     """Cached :func:`compile_encoding`.
 
-    The cache key is the netlist object; a shape fingerprint (input,
-    output and gate counts) invalidates stale entries when a netlist is
-    mutated after being encoded.  In-place edits that preserve all three
-    counts are not detected — re-encode such netlists with
-    :func:`compile_encoding` directly.
+    The cache key is the netlist object, paired with its mutation
+    :attr:`~repro.netlist.netlist.Netlist.version`: any edit after the
+    netlist was encoded recompiles the template.
     """
     cached = _TEMPLATE_CACHE.get(netlist)
-    if cached is not None and cached.fingerprint == _fingerprint(netlist):
+    if cached is not None and cached.version == netlist.version:
         return cached
     template = compile_encoding(netlist)
     _TEMPLATE_CACHE[netlist] = template

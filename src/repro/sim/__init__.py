@@ -3,17 +3,16 @@
 Two simulators share the netlist IR:
 
 * :mod:`repro.sim.logicsim` — combinational evaluation, scalar and
-  numpy-vectorised (many patterns at once);
+  bit-parallel (up to 64 patterns per pass);
 * :mod:`repro.sim.seqsim` — cycle-accurate sequential simulation with
   explicit flip-flop state, used as ground truth for the scan oracle.
 """
 
-from repro.sim.logicsim import evaluate, evaluate_many, CombinationalSimulator
+from repro.sim.logicsim import evaluate, CombinationalSimulator
 from repro.sim.seqsim import SequentialSimulator
 
 __all__ = [
     "evaluate",
-    "evaluate_many",
     "CombinationalSimulator",
     "SequentialSimulator",
 ]

@@ -1,10 +1,8 @@
 """Combinational logic evaluation.
 
-Three paths share one gate semantics:
+Two paths share one gate semantics, both stdlib-only:
 
 * the scalar path (:func:`evaluate`) is the reference;
-* the numpy path (:meth:`CombinationalSimulator.run_many`) evaluates a
-  uint8 pattern matrix, one byte per pattern-bit;
 * the packed path (:class:`BitParallelSimulator`) pre-compiles the
   netlist to a flat instruction list over dense net indices and
   evaluates up to 64 patterns (lanes) per Python bitwise operation —
@@ -16,14 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-try:  # the scalar and packed paths are stdlib-only; numpy is optional
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
-
-from repro.ir import enabled as _ir_enabled
-from repro.ir.lanes import MIN_ENGINE_PATTERNS, word_engine_for
-from repro.netlist.gates import GateType, evaluate_gate, evaluate_gate_vec
+from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.util.bitvec import (
     PACK_WORD_BITS,
@@ -70,13 +61,14 @@ def _as_bit(value: int, net: str) -> int:
 class CombinationalSimulator:
     """Reusable evaluator for a fixed netlist.
 
-    Precomputes the topological order once; ``run`` then evaluates a single
-    pattern, and ``run_many`` evaluates a whole pattern matrix vectorised.
+    ``run`` evaluates a single pattern over the netlist's cached
+    topological order, which construction computes up front (so a
+    combinational cycle raises here, not on the first pattern).
     """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._order = netlist.topological_gates()
+        netlist.topological_gates()
 
     def run(
         self,
@@ -93,45 +85,6 @@ class CombinationalSimulator:
         values = self.run(input_values, state_values)
         return [values[net] for net in self.netlist.outputs]
 
-    def run_many(self, input_matrix: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Vectorised evaluation.
-
-        ``input_matrix`` must provide a uint8 array of identical length for
-        every primary input *and* every DFF Q net.  Returns arrays for all
-        nets.
-        """
-        if np is None:  # pragma: no cover - numpy-less CI leg
-            raise NetlistError("CombinationalSimulator.run_many requires numpy")
-        values: dict[str, np.ndarray] = {}
-        n_patterns: int | None = None
-        for net in list(self.netlist.inputs) + list(self.netlist.dffs):
-            if net not in input_matrix:
-                raise NetlistError(f"missing pattern column for net {net!r}")
-            arr = np.asarray(input_matrix[net], dtype=np.uint8)
-            if n_patterns is None:
-                n_patterns = arr.shape[0]
-            elif arr.shape[0] != n_patterns:
-                raise NetlistError("pattern columns have inconsistent lengths")
-            values[net] = arr
-
-        const_shape = n_patterns if n_patterns is not None else 1
-        for gate in self._order:
-            if gate.gtype is GateType.CONST0:
-                values[gate.output] = np.zeros(const_shape, dtype=np.uint8)
-            elif gate.gtype is GateType.CONST1:
-                values[gate.output] = np.ones(const_shape, dtype=np.uint8)
-            else:
-                operands = [values[n] for n in gate.inputs]
-                values[gate.output] = evaluate_gate_vec(gate.gtype, operands)
-        return values
-
-
-def evaluate_many(
-    netlist: Netlist, input_matrix: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """One-shot vectorised evaluation (see CombinationalSimulator.run_many)."""
-    return CombinationalSimulator(netlist).run_many(input_matrix)
-
 
 class BitParallelSimulator:
     """Packed-integer bit-parallel evaluator for a fixed netlist.
@@ -143,8 +96,7 @@ class BitParallelSimulator:
     live in one ``int`` (bit ``j`` = lane ``j``), so a 64-lane run
     evaluates 64 patterns for the cost of one.
 
-    Flip-flop Q nets are treated as extra inputs, mirroring
-    :meth:`CombinationalSimulator.run_many`.
+    Flip-flop Q nets are treated as extra inputs.
     """
 
     def __init__(self, netlist: Netlist):
@@ -164,25 +116,6 @@ class BitParallelSimulator:
             for gate in order
         ]
         self._output_index = [index[net] for net in netlist.outputs]
-        self._engine = None  # lazily-compiled repro.ir word engine
-        self._engine_tried = False
-
-    def _word_engine(self):
-        """The numpy leveled word engine, or None (scalar-only).
-
-        Compiled on first demand so that constructions that only ever run
-        a couple of scalar words (fault simulation with forces, tiny
-        replays) never pay for it.  ``None`` whenever numpy is absent or
-        the array IR is disabled (``REPRO_IR=0``) -- the scalar engine is
-        always available and bit-identical.
-        """
-        if not self._engine_tried:
-            self._engine_tried = True
-            if np is not None and _ir_enabled():
-                self._engine = word_engine_for(
-                    self._program, len(self._free_nets), self._n_nets
-                )
-        return self._engine
 
     @property
     def net_index(self) -> Mapping[str, int]:
@@ -289,18 +222,7 @@ class BitParallelSimulator:
         Returns one output-bit row per pattern, in the netlist's output
         order — the bit-parallel equivalent of calling
         :meth:`CombinationalSimulator.run_outputs` per pattern.
-
-        When the array-IR word engine is available the whole pattern
-        matrix is evaluated in one leveled numpy pass (every 64-lane
-        word of every net at once); otherwise (or for small batches on
-        narrow circuits, where straight-line Python wins) the original
-        chunked scalar loop runs.  Both produce identical bits.
         """
-        n_patterns = len(patterns)
-        if n_patterns >= MIN_ENGINE_PATTERNS:
-            engine = self._word_engine()
-            if engine is not None:
-                return self._run_patterns_words(engine, patterns)
         results: list[list[int]] = []
         nets = self._free_nets
         for start in range(0, len(patterns), PACK_WORD_BITS):
@@ -312,46 +234,6 @@ class BitParallelSimulator:
             for lane in range(n_lanes):
                 results.append([(word >> lane) & 1 for word in out_words])
         return results
-
-    def _run_patterns_words(
-        self, engine, patterns: Sequence[Mapping[str, int]]
-    ) -> list[list[int]]:
-        """Whole-matrix evaluation behind :meth:`run_patterns`.
-
-        Lane packing and output unpacking are vectorised too: the only
-        per-pattern Python work left is reading the input mapping.  The
-        returned rows are plain 0/1 ints, identical to the scalar path.
-        """
-        nets = self._free_nets
-        n_free = len(nets)
-        n_patterns = len(patterns)
-        n_words = (n_patterns + PACK_WORD_BITS - 1) // PACK_WORD_BITS
-        shifts = np.arange(PACK_WORD_BITS, dtype=np.uint64)
-        # (padded patterns, free nets) 0/1 matrix -> packed uint64 words.
-        bits = np.zeros((n_words * PACK_WORD_BITS, n_free), dtype=np.uint64)
-        flat = bits.reshape(-1)
-        flat[: n_patterns * n_free] = np.fromiter(
-            (pattern[net] for pattern in patterns for net in nets),
-            dtype=np.uint64,
-            count=n_patterns * n_free,
-        )
-        input_rows = (
-            bits.reshape(n_words, PACK_WORD_BITS, n_free)
-            << shifts[None, :, None]
-        ).sum(axis=1, dtype=np.uint64).T
-        masks = np.full(n_words, lane_mask(PACK_WORD_BITS), dtype=np.uint64)
-        masks[-1] = lane_mask(
-            n_patterns - (n_words - 1) * PACK_WORD_BITS
-        )
-        state = engine.eval_words(input_rows, masks)
-        out_state = state[np.array(self._output_index, dtype=np.intp)]
-        out_bits = (
-            (out_state[:, :, None] >> shifts[None, None, :])
-            & np.uint64(1)
-        ).reshape(
-            len(self._output_index), n_words * PACK_WORD_BITS
-        )[:, :n_patterns]
-        return out_bits.T.tolist()
 
 
 def broadcast_inputs(

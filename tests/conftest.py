@@ -1,11 +1,11 @@
 """Shared test configuration.
 
-The library runs without numpy (the scalar netlist/sim/sat/opt paths are
-stdlib-only, see ``repro.ir``), but the attack core does not: building a
+The library runs without numpy (the netlist, simulation, SAT and opt
+paths are stdlib-only), but the attack core does not: building a
 combinational model unrolls the LFSR through the GF(2) substrate.  Tests
 that exercise that path carry ``@pytest.mark.requires_numpy`` and are
-skipped -- not failed -- on the numpy-less CI leg; six whole modules
-(gf2, prng, sim, analysis, seed-equivalence, solver-vs-gf2) instead use
+skipped -- not failed -- on the numpy-less CI leg; five whole modules
+(gf2, prng, analysis, seed-equivalence, solver-vs-gf2) instead use
 ``pytest.importorskip`` at import time.
 """
 

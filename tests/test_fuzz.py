@@ -174,7 +174,7 @@ class TestCampaignDeterminism:
 
     @pytest.mark.requires_numpy
     def test_resume_through_store_is_byte_identical(self, tmp_path):
-        from repro.runner.store import ResultStore
+        from repro.runner.stores import ResultStore
 
         store = ResultStore(tmp_path)
         fresh = run_campaign(QUICK, trials=8, seed=5, jobs=1, store=store)

@@ -34,7 +34,7 @@ from repro.matrix.registry import (
 )
 from repro.reports.profiles import ExperimentProfile
 from repro.runner.scheduler import run_jobs
-from repro.runner.store import ResultStore
+from repro.runner.stores import ResultStore
 
 TINY = ExperimentProfile(
     name="tiny",

@@ -12,6 +12,17 @@ from repro.netlist.gates import (
 from repro.netlist.netlist import Gate, NetNamer, Netlist, NetlistError
 
 
+def two_gate_netlist() -> Netlist:
+    """``x = AND(a, b)``, ``y = OR(x, b)``, output ``y``."""
+    netlist = Netlist("inv")
+    netlist.add_input("a")
+    netlist.add_input("b")
+    netlist.add_gate("x", GateType.AND, ["a", "b"])
+    netlist.add_gate("y", GateType.OR, ["x", "b"])
+    netlist.add_output("y")
+    return netlist
+
+
 class TestGateEvaluation:
     def test_and(self):
         assert evaluate_gate(GateType.AND, [1, 1]) == 1
@@ -180,6 +191,46 @@ class TestNetlistConstruction:
         first = netlist.fanout_map()
         netlist.add_dff(q="q0", d="x")
         assert netlist.fanout_map() is not first
+
+    def test_mutators_invalidate_topo_and_fanout(self):
+        """Every mutator drops the derived caches and bumps ``version``."""
+        mutations = [
+            lambda n: n.add_gate("z", GateType.NOT, ["x"]),
+            lambda n: n.add_input("c"),
+            lambda n: n.add_output("x"),
+            lambda n: n.set_outputs(["x"]),
+            lambda n: n.add_dff(q="q0", d="x"),
+            lambda n: n.remove_gate("y"),
+        ]
+        for mutate in mutations:
+            netlist = two_gate_netlist()
+            netlist.topological_gates()
+            netlist.fanout_map()
+            assert netlist._topo_cache is not None
+            assert netlist._fanout_cache is not None
+            version = netlist.version
+            mutate(netlist)
+            assert netlist._topo_cache is None, mutate
+            assert netlist._fanout_cache is None, mutate
+            assert netlist.version > version, mutate
+
+    def test_fanout_map_fresh_after_remove_gate(self):
+        netlist = two_gate_netlist()
+        assert any(g.output == "y" for g in netlist.fanout_map()["x"])
+        netlist.set_outputs(["x"])
+        netlist.remove_gate("y")
+        assert netlist.fanout_map().get("x", []) == []
+
+    def test_cycle_error_names_the_stuck_nets(self):
+        netlist = Netlist("cyc")
+        netlist.add_input("a")
+        netlist.add_gate("x", GateType.AND, ["a", "y"])
+        netlist.add_gate("y", GateType.AND, ["a", "x"])
+        netlist.add_gate("z", GateType.NOT, ["a"])
+        netlist.add_output("y")
+        with pytest.raises(NetlistError) as err:
+            netlist.topological_gates()
+        assert str(err.value) == "combinational cycle involving nets ['x', 'y']"
 
 
 class TestNetNamer:

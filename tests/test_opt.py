@@ -16,13 +16,17 @@ from repro.bench_suite.registry import build_benchmark_netlist, smallest_benchma
 from repro.fuzz.invariants import check_opt_equivalence, predict_capture
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
-from repro.netlist.transform import copy_netlist
+from repro.netlist.transform import copy_netlist, extract_combinational_core
 from repro.netlist.validate import validate_netlist
 from repro.opt import DEFAULT_LEVEL, MAX_LEVEL, optimize, resolve_level
 from repro.opt.satsweep import sat_sweep
 from repro.opt.structhash import structural_hash
 from repro.opt.sweep import sweep
-from repro.sim.logicsim import evaluate
+from repro.sim.logicsim import (
+    BitParallelSimulator,
+    CombinationalSimulator,
+    evaluate,
+)
 from repro.util.bitvec import random_bits
 
 LEVELS = tuple(range(1, MAX_LEVEL + 1))
@@ -131,6 +135,24 @@ class TestOptimizeProperties:
         got = evaluate(optimized, inputs, state)
         for net in list(netlist.outputs) + netlist.dff_d_nets():
             assert got[net] == want[net], net
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), level=st.sampled_from([0, 1, 2]))
+    def test_opt_levels_agree_in_packed_simulation(self, seed, level):
+        """optimize() at every level keeps packed and scalar simulation
+        in agreement, and keeps the core's output function."""
+        core, _, _ = extract_combinational_core(sampled_netlist(seed))
+        rng = random.Random(seed ^ 0xBEEF)
+        patterns = [
+            {net: rng.randrange(2) for net in core.inputs} for _ in range(20)
+        ]
+        optimized = optimize(core, level=level).netlist if level else core
+        got = BitParallelSimulator(optimized).run_patterns(patterns)
+        reference = CombinationalSimulator(core)
+        scalar = CombinationalSimulator(optimized)
+        for pattern, outputs in zip(patterns, got):
+            assert outputs == scalar.run_outputs(pattern)
+            assert outputs == reference.run_outputs(pattern)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -25,7 +25,7 @@ from repro.runner.artifacts import load_artifact, write_artifact
 from repro.runner.scheduler import RunnerError, run_jobs
 from repro.runner import spec as spec_module
 from repro.runner.spec import JobSpec, code_version
-from repro.runner.store import ResultStore
+from repro.runner.stores import ResultStore
 
 QUICK = PROFILES["quick"]
 

@@ -252,6 +252,14 @@ class ModelCheckCases:
         assert kernel.check_model([0, 1, 0, 0]) == 2
         assert kernel.check_model([0, 1]) == 2  # x3 beyond the model is unset
 
+    def test_skipped_clause_may_name_variables_never_created(self):
+        kernel = self.kernel_class(SolverStats(), 0.95, 128, 4000)
+        kernel.add_clause([1, -1, 3])  # tautology: dropped before x3 exists
+        satisfiable, model, _ = kernel.solve([], None, None)
+        assert satisfiable is True
+        assert kernel.check_model(model) == -1
+        assert kernel.check_model([0]) == 0  # x1 and x3 both unset
+
     def test_a_model_corrupted_after_the_search_is_caught(self):
         class Corrupting(self.kernel_class):
             def _model(self):

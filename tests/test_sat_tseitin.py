@@ -11,7 +11,7 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
 from repro.sat.solver import CdclSolver
-from repro.sat.tseitin import CircuitEncoder, encoding_for
+from repro.sat.tseitin import CircuitEncoder, compile_encoding, encoding_for
 from repro.sim.logicsim import evaluate
 
 
@@ -156,3 +156,96 @@ class TestSharing:
         with pytest.raises(ValueError):
             encoder.alias("a", w)
         encoder.alias("a", v)  # idempotent alias is fine
+
+
+class TestTemplateCache:
+    """``encoding_for`` never serves a template older than the netlist.
+
+    The cache is keyed on the netlist's mutation ``version``, so every
+    mutator -- including edits that keep the input, output and gate
+    counts -- forces a recompile.
+    """
+
+    def _base(self) -> Netlist:
+        netlist = Netlist("inv")
+        netlist.add_input("a")
+        netlist.add_input("b")
+        netlist.add_gate("x", GateType.AND, ["a", "b"])
+        netlist.add_gate("y", GateType.OR, ["x", "b"])
+        netlist.add_output("y")
+        return netlist
+
+    def _assert_fresh(self, netlist: Netlist, before) -> None:
+        after = encoding_for(netlist)
+        assert after is not before
+        fresh = compile_encoding(netlist)
+        assert after.shifted == fresh.shifted
+        assert list(after.net_local.items()) == list(fresh.net_local.items())
+        assert encoding_for(netlist) is after
+
+    def test_cache_hit_when_unchanged(self):
+        netlist = self._base()
+        assert encoding_for(netlist) is encoding_for(netlist)
+
+    def test_same_shape_edit_recompiles(self):
+        netlist = Netlist("t")
+        netlist.add_input("a")
+        netlist.add_input("b")
+        netlist.add_gate("y", GateType.AND, ["a", "b"])
+        netlist.add_output("y")
+        before = encoding_for(netlist)
+        netlist.remove_gate("y")
+        netlist.add_gate("y", GateType.OR, ["a", "b"])
+        assert compile_encoding(netlist).shifted != before.shifted
+        self._assert_fresh(netlist, before)
+
+    def test_add_gate_invalidates(self):
+        netlist = self._base()
+        before = encoding_for(netlist)
+        netlist.add_gate("z", GateType.NOT, ["x"])
+        self._assert_fresh(netlist, before)
+        assert "z" in encoding_for(netlist).net_local
+
+    def test_add_input_invalidates(self):
+        netlist = self._base()
+        before = encoding_for(netlist)
+        netlist.add_input("c")
+        self._assert_fresh(netlist, before)
+        assert "c" in encoding_for(netlist).net_local
+
+    def test_add_output_invalidates(self):
+        netlist = self._base()
+        before = encoding_for(netlist)
+        netlist.add_output("x")
+        self._assert_fresh(netlist, before)
+
+    def test_set_outputs_invalidates(self):
+        netlist = self._base()
+        before = encoding_for(netlist)
+        netlist.set_outputs(["x"])
+        self._assert_fresh(netlist, before)
+
+    def test_remove_gate_invalidates(self):
+        netlist = self._base()
+        netlist.set_outputs(["x"])
+        before = encoding_for(netlist)
+        netlist.remove_gate("y")
+        self._assert_fresh(netlist, before)
+        assert "y" not in encoding_for(netlist).net_local
+
+    def test_remove_input_invalidates(self):
+        netlist = self._base()
+        netlist.set_outputs([])
+        netlist.remove_gate("y")
+        netlist.remove_gate("x")
+        before = encoding_for(netlist)
+        netlist.remove_input("b")
+        self._assert_fresh(netlist, before)
+        assert list(encoding_for(netlist).net_local) == ["a"]
+
+    def test_add_dff_invalidates(self):
+        netlist = self._base()
+        encoding_for(netlist)
+        netlist.add_dff(q="q0", d="x")
+        with pytest.raises(ValueError, match="sequential"):
+            encoding_for(netlist)

@@ -4,14 +4,10 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")  # whole-module skip on the numpy-less leg
-from hypothesis import given, settings, strategies as st
-
-from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.bench_suite.iscas import s27_netlist
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.sim.logicsim import CombinationalSimulator, evaluate, evaluate_many
+from repro.sim.logicsim import evaluate
 from repro.sim.seqsim import SequentialSimulator
 from repro.util.bitvec import random_bits
 
@@ -54,45 +50,6 @@ class TestCombinationalEvaluate:
         values = evaluate(netlist, {})
         assert values["one"] == 1
         assert values["zero"] == 0
-
-
-class TestVectorisedEvaluate:
-    @settings(max_examples=20)
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_vectorised_matches_scalar(self, seed):
-        """The numpy path must agree with the scalar path bit-for-bit."""
-        rng = random.Random(seed)
-        config = GeneratorConfig(n_flops=6, n_inputs=4, n_outputs=3)
-        netlist = generate_circuit(config, rng, name="v")
-        sim = CombinationalSimulator(netlist)
-
-        n_patterns = 17
-        columns = {
-            net: np.array(random_bits(n_patterns, rng), dtype=np.uint8)
-            for net in list(netlist.inputs) + list(netlist.dffs)
-        }
-        vec_values = sim.run_many(columns)
-        for p in range(n_patterns):
-            scalar = sim.run(
-                {net: int(columns[net][p]) for net in netlist.inputs},
-                {net: int(columns[net][p]) for net in netlist.dffs},
-            )
-            for net in netlist.outputs:
-                assert int(vec_values[net][p]) == scalar[net]
-
-    def test_missing_column_rejected(self):
-        with pytest.raises(NetlistError):
-            evaluate_many(tiny_circuit(), {"a": np.zeros(4, dtype=np.uint8)})
-
-    def test_ragged_columns_rejected(self):
-        with pytest.raises(NetlistError):
-            evaluate_many(
-                tiny_circuit(),
-                {
-                    "a": np.zeros(4, dtype=np.uint8),
-                    "b": np.zeros(5, dtype=np.uint8),
-                },
-            )
 
 
 class TestSequentialSimulator:
