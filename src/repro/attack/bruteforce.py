@@ -9,9 +9,9 @@ candidates whose *predicted* scrambled responses match.
 Prediction evaluates the combinational attack model with the candidate
 seed plugged into its key inputs -- the same artifact the SAT attack ran
 on, so no additional modeling code is trusted here.  Evaluation is
-bit-parallel: each surviving candidate occupies one packed lane, so a
-single pass of the :class:`repro.sim.logicsim.BitParallelSimulator`
-checks every candidate against one replayed pattern at once.
+bit-parallel: each (pattern, candidate) pair occupies one packed lane,
+so a single pass of the :class:`repro.sim.logicsim.BitParallelSimulator`
+predicts every candidate on every replayed pattern at once.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.modeling import CombinationalModel
-from repro.netlist.netlist import Netlist
-from repro.sim.logicsim import BitParallelSimulator, broadcast_inputs
-from repro.util.bitvec import broadcast_bit, lane_mask, pack_lanes, random_bits
+from repro.netlist.netlist import Netlist, NetlistError
+from repro.sim.logicsim import simulator_for
+from repro.util.bitvec import lane_mask, pack_lanes, random_bits
 
 
 @dataclass
@@ -79,45 +79,82 @@ def refine_candidates_by_replay(
     Candidates that mispredict any replayed pattern are eliminated.  With
     ``stop_at_one`` the loop ends as soon as a single survivor remains.
 
-    Per pattern, the scan-in/PI bits are broadcast across all candidate
-    lanes and the candidate seeds are column-packed into the key inputs,
-    so the whole candidate set is simulated in one bit-parallel pass.
+    All ``n_patterns`` patterns are drawn from ``rng`` up front (scan-in,
+    then PI bits, per pattern) and every candidate's prediction for every
+    pattern comes from one bit-parallel pass: lane ``p * K + k`` holds
+    pattern ``p`` under candidate ``k``.  The oracle is still queried
+    one pattern at a time, and only until the survivors are settled.
     """
-    sim = BitParallelSimulator(model.netlist)
-    survivors = [list(c) for c in candidates]
+    n_candidates = len(candidates)
     n_a = len(model.a_inputs)
     n_pi = len(model.pi_inputs)
+    patterns = [
+        (random_bits(n_a, rng), random_bits(n_pi, rng)) for _ in range(n_patterns)
+    ]
+    alive = list(range(n_candidates))  # lane offsets of the survivors
+    predicted: list[int] | None = None
+    block = lane_mask(n_candidates)
     patterns_used = 0
 
-    for _ in range(n_patterns):
-        if not survivors or (stop_at_one and len(survivors) == 1):
+    for p, (scan_in, pi) in enumerate(patterns):
+        if not alive or (stop_at_one and len(alive) == 1):
             break
-        scan_in = random_bits(n_a, rng)
-        pi = random_bits(n_pi, rng)
+        if predicted is None:
+            predicted = _predict(model, patterns, candidates)
         observed = list(oracle_query(scan_in, pi))
-        if len(observed) != len(model.observed_outputs):
+        if len(observed) != len(predicted):
             raise ValueError("oracle returned wrong number of output bits")
         patterns_used += 1
 
-        n_lanes = len(survivors)
-        packed = broadcast_inputs(model.a_inputs, scan_in, n_lanes)
-        packed.update(broadcast_inputs(model.pi_inputs, pi, n_lanes))
-        packed.update(zip(model.key_inputs, pack_lanes(survivors)))
-
-        values = sim.run_packed(packed, n_lanes)
+        shift = p * n_candidates
         mismatch = 0
-        for net, bit in zip(model.observed_outputs, observed):
-            mismatch |= values[net] ^ broadcast_bit(bit, n_lanes)
-            if mismatch == lane_mask(n_lanes):
-                break  # every remaining lane already mispredicts
-        survivors = [
-            seed
-            for lane, seed in enumerate(survivors)
-            if not (mismatch >> lane) & 1
-        ]
+        for word, bit in zip(predicted, observed):
+            lanes = (word >> shift) & block
+            mismatch |= lanes ^ block if bit else lanes
+        alive = [k for k in alive if not (mismatch >> k) & 1]
 
     return RefinementResult(
-        survivors=survivors,
+        survivors=[list(candidates[k]) for k in alive],
         n_patterns_used=patterns_used,
-        n_candidates_in=len(candidates),
+        n_candidates_in=n_candidates,
     )
+
+
+def _predict(
+    model: CombinationalModel,
+    patterns: Sequence[tuple[list[int], list[int]]],
+    candidates: Sequence[Sequence[int]],
+) -> list[int]:
+    """Every candidate's predicted outputs for every pattern, one pass.
+
+    Returns one packed word per observed output; lane ``p * K + k`` is
+    pattern ``p`` evaluated with candidate ``k`` in the key inputs.
+    """
+    n_candidates = len(candidates)
+    block = lane_mask(n_candidates)
+    blocks = [block << (p * n_candidates) for p in range(len(patterns))]
+    repeat = sum(1 << (p * n_candidates) for p in range(len(patterns)))
+
+    words: dict[str, int] = {}
+    for nets, column in ((model.a_inputs, 0), (model.pi_inputs, 1)):
+        for i, net in enumerate(nets):
+            word = 0
+            for pattern, lanes in zip(patterns, blocks):
+                if pattern[column][i]:
+                    word |= lanes
+            words[net] = word
+    # A K-lane candidate column times ``repeat`` copies it into every
+    # pattern's block (the blocks do not overlap, so nothing carries).
+    for net, column in zip(model.key_inputs, pack_lanes(candidates)):
+        words[net] = column * repeat
+
+    sim = simulator_for(model.netlist)
+    free: list[int] = []
+    for net in sim.free_nets:
+        word = words.get(net)
+        if word is None:
+            raise NetlistError(f"missing packed value for net {net!r}")
+        free.append(word)
+    slots = sim.run_slots(free, n_candidates * len(patterns))
+    index = sim.net_index
+    return [slots[index[net]] for net in model.observed_outputs]

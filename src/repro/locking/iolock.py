@@ -23,7 +23,8 @@ from typing import Sequence
 from repro.locking.rll import lock_combinational_rll
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
-from repro.sim.logicsim import CombinationalSimulator
+from repro.scan.oracle import check_bits
+from repro.sim.logicsim import simulator_for
 
 
 @dataclass(frozen=True)
@@ -43,19 +44,23 @@ class IoOracle:
     """
 
     def __init__(self, core: Netlist):
-        self._sim = CombinationalSimulator(core)
+        self._core = core
+        simulator_for(core)  # compile now: a cyclic netlist fails here
         self.inputs = list(core.inputs)
         self.outputs = list(core.outputs)
         self.query_count = 0
 
     def query(self, x_bits: Sequence[int]) -> list[int]:
+        """One lane of the core's cached compiled simulator."""
         if len(x_bits) != len(self.inputs):
             raise ValueError(
                 f"expected {len(self.inputs)} input bits, got {len(x_bits)}"
             )
+        check_bits(x_bits, "input")
         self.query_count += 1
-        values = self._sim.run(dict(zip(self.inputs, x_bits)))
-        return [values[net] for net in self.outputs]
+        sim = simulator_for(self._core)
+        slots = sim.run_slots(x_bits, 1)
+        return [slots[o] for o in sim.output_slots]
 
 
 @dataclass

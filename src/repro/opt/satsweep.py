@@ -53,11 +53,9 @@ def simulation_signatures(
     n_rounds: int = DEFAULT_ROUNDS,
 ) -> dict[str, list[int]]:
     """Random-lane signatures of every net (``n_rounds`` x 64 patterns)."""
-    netlist = sim.netlist
-    free = list(netlist.inputs) + netlist.dff_q_nets()
     signatures: dict[str, list[int]] = {net: [] for net in sim.net_index}
     for _ in range(n_rounds):
-        packed = {net: rng.getrandbits(PACK_WORD_BITS) for net in free}
+        packed = {net: rng.getrandbits(PACK_WORD_BITS) for net in sim.free_nets}
         words = sim.run_packed(packed, PACK_WORD_BITS)
         for net, word in words.items():
             signatures[net].append(word)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.scan.oracle import KeystreamLike, ScanResponse
-from repro.sim.seqsim import SequentialSimulator
+from repro.scan.oracle import KeystreamLike, ScanResponse, capture, check_bits
+from repro.sim.logicsim import simulator_for
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,10 @@ class MultiChainScanOracle:
 
     API mirrors :class:`repro.scan.oracle.ScanOracle`: patterns and
     responses use the *global* flop order, padding and per-chain routing
-    are internal.
+    are internal.  Like the single-chain oracle it derives its load and
+    unload key masks once per (obfuscation on/off, capture count), here
+    by running its own per-edge loop on an all-zero pattern, and
+    captures through the compiled simulator.
     """
 
     def __init__(
@@ -137,31 +140,23 @@ class MultiChainScanOracle:
         self.spec = spec
         self.keystream = keystream
         self.obfuscation_enabled = obfuscation_enabled
-        self._sim = SequentialSimulator(netlist)
+        simulator_for(netlist)  # compile now: a cyclic netlist fails here
+        self._masks: dict[tuple[bool, int], tuple[list[int], list[int]]] = {}
         self.query_count = 0
-
-    def _split(self, bits: Sequence[int]) -> list[list[int]]:
-        chunks: list[list[int]] = []
-        offset = 0
-        for length in self.spec.chain_lengths:
-            chunks.append(list(bits[offset: offset + length]))
-            offset += length
-        return chunks
 
     def _shift_all_chains(
         self,
         states: list[list[int]],
-        scan_in_bits: list[int],
         key: Sequence[int],
     ) -> list[list[int]]:
-        """One simultaneous shift edge across every chain."""
+        """One simultaneous shift edge across every chain (zero scan-in)."""
         new_states: list[list[int]] = []
         for chain, state in enumerate(states):
             gates = dict(
                 (position, key_index)
                 for key_index, position in self.spec.gates_in_chain(chain)
             )
-            new_state = [scan_in_bits[chain]]
+            new_state = [0]
             for p in range(len(state) - 1):
                 bit = state[p]
                 key_index = gates.get(p)
@@ -170,6 +165,51 @@ class MultiChainScanOracle:
                 new_state.append(bit)
             new_states.append(new_state)
         return new_states
+
+    def _key_masks(self, n_captures: int) -> tuple[list[int], list[int]]:
+        """``(load_mask, unload_mask)`` in global flop order, cached."""
+        key = (self.obfuscation_enabled, n_captures)
+        masks = self._masks.get(key)
+        if masks is None:
+            masks = self._masks[key] = self._derive_masks(n_captures)
+        return masks
+
+    def _derive_masks(self, n_captures: int) -> tuple[list[int], list[int]]:
+        """Run one query's edges on an all-zero pattern and capture.
+
+        Every chain's pattern bit for position ``l`` lands on position
+        ``l`` (shorter chains are padded at the front), so what the keys
+        leave in an all-zero chain is exactly the load mask; likewise
+        what an all-zero captured state shows at the pins is the unload
+        mask.
+        """
+        spec = self.spec
+        keystream = self.keystream
+        keystream.restart()
+        max_len = spec.max_length
+
+        # Load: max_len edges.
+        states = [[0] * length for length in spec.chain_lengths]
+        for _ in range(max_len):
+            states = self._shift_all_chains(states, keystream.next_key())
+        load_mask = [bit for state in states for bit in state]
+
+        for _ in range(n_captures):  # capture edges: PRNG advances
+            keystream.next_key()
+
+        # Unload: max_len - 1 edges; chain c's position l is read after
+        # len_c - 1 - l edges (sampled before the edge that would move it
+        # past the scan-out pin).
+        states = [[0] * length for length in spec.chain_lengths]
+        observed = [[0] * length for length in spec.chain_lengths]
+        for j in range(max_len - 1):
+            states = self._shift_all_chains(states, keystream.next_key())
+            for chain, state in enumerate(states):
+                position = len(state) - 1 - (j + 1)
+                if position >= 0:
+                    observed[chain][position] = state[-1]
+        unload_mask = [bit for chain_bits in observed for bit in chain_bits]
+        return load_mask, unload_mask
 
     def query(
         self,
@@ -182,67 +222,13 @@ class MultiChainScanOracle:
             raise ValueError(f"scan_in must have {spec.n_flops} bits")
         if n_captures < 1:
             raise ValueError("at least one capture edge is required")
+        check_bits(scan_in, "scan_in")
         self.query_count += 1
-        self.keystream.restart()
-        self._sim.reset(0)
 
-        patterns = self._split(scan_in)
-        max_len = spec.max_length
-        states = [[0] * length for length in spec.chain_lengths]
-
-        # Load: max_len edges; chain c is padded for max_len - len_c edges.
-        for t in range(max_len):
-            key = self.keystream.next_key()
-            si_bits = []
-            for chain, length in enumerate(spec.chain_lengths):
-                pad = max_len - length
-                if t < pad:
-                    si_bits.append(0)
-                else:
-                    # Bit destined for position l enters at edge
-                    # max_len - 1 - l; invert for the entering index.
-                    si_bits.append(patterns[chain][max_len - 1 - t])
-            states = self._shift_all_chains(states, si_bits, key)
-
-        # Capture edges.
-        applied: list[int] = []
-        for state in states:
-            applied.extend(state)
-        self._sim.set_state_vector(applied)
-        nets = self.netlist.inputs
-        if primary_inputs is None:
-            inputs = {net: 0 for net in nets}
-        else:
-            if len(primary_inputs) != len(nets):
-                raise ValueError("primary input width mismatch")
-            inputs = dict(zip(nets, primary_inputs))
-        primary_outputs: list[int] = []
-        for _ in range(n_captures):
-            self.keystream.next_key()
-            values = self._sim.step(inputs)
-            primary_outputs = [values[net] for net in self.netlist.outputs]
-        captured_global = self._sim.get_state_vector()
-        states = self._split(captured_global)
-
-        # Unload: max_len - 1 edges; chain c's position l is read after
-        # len_c - 1 - l edges (sampled before the edge that would move it
-        # past the scan-out pin).
-        observed: list[list[int | None]] = [
-            [None] * length for length in spec.chain_lengths
-        ]
-        for chain, state in enumerate(states):
-            observed[chain][len(state) - 1] = state[-1]
-        for j in range(max_len - 1):
-            key = self.keystream.next_key()
-            states = self._shift_all_chains(states, [0] * spec.n_chains, key)
-            for chain, state in enumerate(states):
-                length = len(state)
-                position = length - 1 - (j + 1)
-                if position >= 0:
-                    observed[chain][position] = state[-1]
-
-        scan_out: list[int] = []
-        for chain_bits in observed:
-            assert all(bit is not None for bit in chain_bits)
-            scan_out.extend(int(bit) for bit in chain_bits)  # type: ignore[arg-type]
+        load_mask, unload_mask = self._key_masks(n_captures)
+        applied = [bit ^ m for bit, m in zip(scan_in, load_mask)]
+        captured, primary_outputs = capture(
+            self.netlist, applied, primary_inputs, n_captures
+        )
+        scan_out = [bit ^ m for bit, m in zip(captured, unload_mask)]
         return ScanResponse(scan_out=scan_out, primary_outputs=primary_outputs)

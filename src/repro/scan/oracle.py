@@ -6,6 +6,15 @@ gates during every shift; each query is preceded by a power-on reset so
 the PRNG restarts from its secret seed; the capture edge also advances the
 PRNG but the key gates only sit on the scan path, so capture itself is
 clean.
+
+Because every query restarts the PRNG, one oracle sees the same keystream
+on every query, and shifting is linear over GF(2): the chain state after
+a load is ``pattern XOR load_mask`` and the observed response is
+``captured XOR unload_mask``.  The oracle derives both masks once per
+(obfuscation on/off, capture count) by running the generic shift code of
+:mod:`repro.scan.chain` on an all-zero pattern -- the same code the
+symbolic model derivation runs -- and captures through the compiled
+:class:`~repro.sim.logicsim.BitParallelSimulator`, one lane per query.
 """
 
 from __future__ import annotations
@@ -15,11 +24,19 @@ from typing import Protocol, Sequence
 
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.scan.chain import ScanChainSpec, shift_in, shift_out, xor_int
-from repro.sim.seqsim import SequentialSimulator
+from repro.sim.logicsim import simulator_for
+
+_BITS = frozenset((0, 1))
 
 
 class KeystreamLike(Protocol):
-    """Anything producing per-cycle dynamic keys (LFSR, nonlinear PRNG)."""
+    """Anything producing per-cycle dynamic keys (LFSR, nonlinear PRNG).
+
+    ``restart()`` models power-on reset: afterwards the keystream is back
+    at its power-on state, so the sequence of ``next_key()`` results
+    after every ``restart()`` is the same.  The scan oracles rely on this
+    to derive their key masks once instead of on every query.
+    """
 
     width: int
 
@@ -34,6 +51,45 @@ class ScanResponse:
 
     scan_out: list[int]
     primary_outputs: list[int]
+
+
+def check_bits(bits: Sequence[int], what: str) -> None:
+    """Reject anything but 0/1 in a query's bit vector."""
+    if not _BITS.issuperset(bits):
+        bad = next(bit for bit in bits if bit not in _BITS)
+        raise NetlistError(f"{what} bits must be 0/1, got {bad!r}")
+
+
+def capture(
+    netlist: Netlist,
+    applied: list[int],
+    primary_inputs: Sequence[int] | None,
+    n_captures: int,
+) -> tuple[list[int], list[int]]:
+    """``n_captures`` functional edges from the loaded chain state.
+
+    Returns ``(captured state, primary outputs)``; the outputs are
+    sampled before the last edge.  ``primary_inputs`` (None = all zero)
+    are held for every edge.  One lane of the netlist's cached compiled
+    simulator per edge.
+    """
+    n_pi = len(netlist.inputs)
+    if primary_inputs is None:
+        pis = [0] * n_pi
+    else:
+        if len(primary_inputs) != n_pi:
+            raise ValueError(
+                f"expected {n_pi} primary input bits, got {len(primary_inputs)}"
+            )
+        check_bits(primary_inputs, "primary input")
+        pis = list(primary_inputs)
+    sim = simulator_for(netlist)
+    d_slots = sim.d_slots
+    state = applied
+    for _ in range(n_captures):
+        slots = sim.run_slots(pis + state, 1)
+        state = [slots[d] for d in d_slots]
+    return state, [slots[o] for o in sim.output_slots]
 
 
 class ScanOracle:
@@ -65,7 +121,8 @@ class ScanOracle:
         self.spec = spec
         self.keystream = keystream
         self.obfuscation_enabled = obfuscation_enabled
-        self._sim = SequentialSimulator(netlist)
+        simulator_for(netlist)  # compile now: a cyclic netlist fails here
+        self._masks: dict[tuple[bool, int], tuple[list[int], list[int]]] = {}
         self.query_count = 0
         self.shift_cycles = 0
 
@@ -78,18 +135,33 @@ class ScanOracle:
     def n_primary_inputs(self) -> int:
         return len(self.netlist.inputs)
 
-    def _input_map(self, primary_inputs: Sequence[int] | None) -> dict[str, int]:
-        nets = self.netlist.inputs
-        if primary_inputs is None:
-            return {net: 0 for net in nets}
-        if len(primary_inputs) != len(nets):
-            raise ValueError(
-                f"expected {len(nets)} primary input bits, got {len(primary_inputs)}"
-            )
-        return dict(zip(nets, primary_inputs))
+    def _key_masks(self, n_captures: int = 1) -> tuple[list[int], list[int]]:
+        """``(load_mask, unload_mask)`` of a query with ``n_captures``.
 
-    def _zero_key(self) -> list[int]:
-        return [0] * max(1, self.keystream.width)
+        Derived on first use by running the power-on keystream through
+        the generic :func:`~repro.scan.chain.shift_in` /
+        :func:`~repro.scan.chain.shift_out` on an all-zero pattern, then
+        cached per (``obfuscation_enabled``, ``n_captures``).
+        """
+        key = (self.obfuscation_enabled, n_captures)
+        masks = self._masks.get(key)
+        if masks is None:
+            masks = self._masks[key] = self._derive_masks(n_captures)
+        return masks
+
+    def _derive_masks(self, n_captures: int) -> tuple[list[int], list[int]]:
+        n = self.spec.n_flops
+        if not self.obfuscation_enabled:
+            return [0] * n, [0] * n
+        keystream = self.keystream
+        keystream.restart()
+        load_keys = [keystream.next_key() for _ in range(n)]
+        for _ in range(n_captures):  # capture edges: PRNG advances, path idle
+            keystream.next_key()
+        unload_keys = [keystream.next_key() for _ in range(n - 1)]
+        load_mask = shift_in(self.spec, [0] * n, [0] * n, load_keys, xor_int)
+        unload_mask = shift_out(self.spec, [0] * n, unload_keys, xor_int, fill_bit=0)
+        return load_mask, unload_mask
 
     # ------------------------------------------------------------------
     def query(
@@ -113,40 +185,16 @@ class ScanOracle:
             raise ValueError(f"scan_in must have {n} bits, got {len(scan_in)}")
         if n_captures < 1:
             raise ValueError("at least one capture edge is required")
+        check_bits(scan_in, "scan_in")
         self.query_count += 1
         self.shift_cycles += 2 * n + n_captures - 1
 
-        # Power-on reset: PRNG reloads the secret seed, flops go to 0.
-        self.keystream.restart()
-        self._sim.reset(0)
-
-        if self.obfuscation_enabled:
-            load_keys = [self.keystream.next_key() for _ in range(n)]
-        else:
-            load_keys = [self._zero_key() for _ in range(n)]
-            for _ in range(n):
-                self.keystream.next_key()
-        applied = shift_in(
-            self.spec, [0] * n, list(scan_in), load_keys, xor_int
+        load_mask, unload_mask = self._key_masks(n_captures)
+        applied = [bit ^ m for bit, m in zip(scan_in, load_mask)]
+        captured, primary_outputs = capture(
+            self.netlist, applied, primary_inputs, n_captures
         )
-
-        # Capture edges: functional clocks; PRNG advances, scan path idle.
-        self._sim.set_state_vector(applied)
-        inputs = self._input_map(primary_inputs)
-        primary_outputs: list[int] = []
-        for _ in range(n_captures):
-            self.keystream.next_key()
-            pre_edge_values = self._sim.step(inputs)
-            primary_outputs = [
-                pre_edge_values[net] for net in self.netlist.outputs
-            ]
-        captured = self._sim.get_state_vector()
-
-        if self.obfuscation_enabled:
-            unload_keys = [self.keystream.next_key() for _ in range(n - 1)]
-        else:
-            unload_keys = [self._zero_key() for _ in range(n - 1)]
-        observed = shift_out(self.spec, captured, unload_keys, xor_int, fill_bit=0)
+        observed = [bit ^ m for bit, m in zip(captured, unload_mask)]
         return ScanResponse(scan_out=observed, primary_outputs=primary_outputs)
 
     # ------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Two simulators share the netlist IR:
 
 * :mod:`repro.sim.logicsim` — combinational evaluation, scalar and
-  bit-parallel (up to 64 patterns per pass);
+  bit-parallel; the compiled bit-parallel simulator
+  (:func:`~repro.sim.logicsim.simulator_for`) runs the chip oracles'
+  capture edges and candidate replay;
 * :mod:`repro.sim.seqsim` — cycle-accurate sequential simulation with
-  explicit flip-flop state, used as ground truth for the scan oracle.
+  explicit flip-flop state, which drives the structural (gate-level)
+  scan oracle.
 """
 
 from repro.sim.logicsim import evaluate, CombinationalSimulator

@@ -5,14 +5,17 @@ Two paths share one gate semantics, both stdlib-only:
 * the scalar path (:func:`evaluate`) is the reference;
 * the packed path (:class:`BitParallelSimulator`) pre-compiles the
   netlist to a flat instruction list over dense net indices and
-  evaluates up to 64 patterns (lanes) per Python bitwise operation —
-  the fast substrate under brute-force candidate refinement and fault
-  simulation, where thousands of patterns are replayed per circuit.
+  evaluates any number of patterns (lanes) per Python bitwise
+  operation — the runtime simulator under the chip oracles (one lane
+  per query), brute-force candidate refinement and fault simulation.
+  :func:`simulator_for` caches one compile per netlist version.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.netlist import Netlist, NetlistError
@@ -86,24 +89,59 @@ class CombinationalSimulator:
         return [values[net] for net in self.netlist.outputs]
 
 
+# Instruction kinds of the compiled program.  Inverting gate types share
+# the kind of their base type and set the instruction's ``invert`` flag
+# (NAND = AND + invert, NOT = BUF + invert, CONST1 = CONST + invert).
+_XOR, _AND, _OR, _BUF, _MUX, _CONST = range(6)
+_KIND_OF: dict[GateType, tuple[int, bool]] = {
+    GateType.AND: (_AND, False),
+    GateType.NAND: (_AND, True),
+    GateType.OR: (_OR, False),
+    GateType.NOR: (_OR, True),
+    GateType.XOR: (_XOR, False),
+    GateType.XNOR: (_XOR, True),
+    GateType.BUF: (_BUF, False),
+    GateType.NOT: (_BUF, True),
+    GateType.MUX: (_MUX, False),
+    GateType.CONST0: (_CONST, False),
+    GateType.CONST1: (_CONST, True),
+}
+
+
+def _compile_gate(
+    gtype: GateType, out: int, ins: list[int]
+) -> tuple[int, bool, int, int, tuple[int, ...]]:
+    """One instruction: ``(kind, invert, out, first operand, the rest)``.
+
+    Constants have no operand; they read slot 0 and discard it.
+    """
+    kind, invert = _KIND_OF[gtype]
+    return kind, invert, out, ins[0] if ins else 0, tuple(ins[1:])
+
+
 class BitParallelSimulator:
     """Packed-integer bit-parallel evaluator for a fixed netlist.
 
-    Construction compiles the netlist once: every net gets a dense index
-    and the topological gate order becomes a flat instruction list, so
-    each evaluation is a straight-line pass of Python bitwise operations
-    with no dict lookups.  A *lane* is one pattern; all lanes of a net
-    live in one ``int`` (bit ``j`` = lane ``j``), so a 64-lane run
-    evaluates 64 patterns for the cost of one.
+    Construction compiles the netlist once: every net gets a dense slot
+    index and the topological gate order becomes a flat instruction
+    list, so each evaluation is a straight-line pass of Python bitwise
+    operations with no dict lookups.  A *lane* is one pattern; all lanes
+    of a net live in one ``int`` (bit ``j`` = lane ``j``), so a 64-lane
+    run evaluates 64 patterns for the cost of one.
 
-    Flip-flop Q nets are treated as extra inputs.
+    Flip-flop Q nets are treated as extra inputs: the *free* nets are
+    the primary inputs followed by the Q nets in canonical flop order,
+    and they hold slots ``0 .. len(free_nets) - 1``.  ``output_slots``
+    and ``d_slots`` locate the primary outputs and the flops' D nets, so
+    a one-lane :meth:`run_slots` pass is one functional clock edge with
+    no name lookups -- the capture step of every chip oracle.
     """
 
     def __init__(self, netlist: Netlist):
-        self.netlist = netlist
-        self._free_nets = list(netlist.inputs) + list(netlist.dffs)
+        self.version = netlist.version
+        self.free_nets: list[str] = list(netlist.inputs) + netlist.dff_q_nets()
         index: dict[str, int] = {}
-        for net in self._free_nets:
+        for net in self.free_nets:
             index[net] = len(index)
         order = netlist.topological_gates()
         for gate in order:
@@ -111,16 +149,22 @@ class BitParallelSimulator:
                 index[gate.output] = len(index)
         self._net_index = index
         self._n_nets = len(index)
-        self._program: list[tuple[GateType, int, tuple[int, ...]]] = [
-            (gate.gtype, index[gate.output], tuple(index[n] for n in gate.inputs))
+        self._program = [
+            _compile_gate(gate.gtype, index[gate.output], [index[n] for n in gate.inputs])
             for gate in order
         ]
-        self._output_index = [index[net] for net in netlist.outputs]
+        self.output_slots = [index[net] for net in netlist.outputs]
+        self._d_nets = netlist.dff_d_nets()
 
     @property
     def net_index(self) -> Mapping[str, int]:
         """Net name -> dense slot index (stable for this simulator)."""
         return self._net_index
+
+    @cached_property
+    def d_slots(self) -> list[int]:
+        """Slot of each flop's D net, in canonical flop order."""
+        return [self._net_index[net] for net in self._d_nets]
 
     def run_packed(
         self,
@@ -136,62 +180,69 @@ class BitParallelSimulator:
         stuck-at injection hook used by fault simulation.  Returns the
         packed word of every net.
         """
-        slots = self._run_slots(packed_inputs, n_lanes, force)
+        slots = self._run_named(packed_inputs, n_lanes, force)
         return {net: slots[slot] for net, slot in self._net_index.items()}
 
-    def _run_slots(
+    def _run_named(
         self,
         packed_inputs: Mapping[str, int],
         n_lanes: int,
         force: Mapping[str, int] | None = None,
     ) -> list[int]:
-        """Straight-line packed evaluation; returns the raw slot array."""
-        mask = lane_mask(n_lanes)
-        slots = [0] * self._n_nets
-        index = self._net_index
-        for net in self._free_nets:
+        words: list[int] = []
+        for net in self.free_nets:
             word = packed_inputs.get(net)
             if word is None:
                 raise NetlistError(f"missing packed value for net {net!r}")
-            slots[index[net]] = word & mask
+            words.append(word)
+        return self.run_slots(words, n_lanes, force)
+
+    def run_slots(
+        self,
+        free_words: Sequence[int],
+        n_lanes: int,
+        force: Mapping[str, int] | None = None,
+    ) -> list[int]:
+        """Straight-line packed evaluation; returns the raw slot array.
+
+        ``free_words`` holds one packed word per free net, in
+        ``free_nets`` order (primary inputs, then Q nets); read results
+        through ``net_index``, ``output_slots`` or ``d_slots``.
+        """
+        if len(free_words) != len(self.free_nets):
+            raise NetlistError(
+                f"expected {len(self.free_nets)} free-net words, "
+                f"got {len(free_words)}"
+            )
+        mask = lane_mask(n_lanes)
+        slots = [word & mask for word in free_words]
+        slots.extend([0] * (self._n_nets - len(slots)))
 
         force_slots: dict[int, int] | None = None
         if force:
+            index = self._net_index
             force_slots = {index[net]: word & mask for net, word in force.items()}
             for slot, word in force_slots.items():
                 slots[slot] = word
 
-        for gtype, out, ins in self._program:
-            if gtype is GateType.AND or gtype is GateType.NAND:
-                acc = slots[ins[0]]
-                for i in ins[1:]:
-                    acc &= slots[i]
-                if gtype is GateType.NAND:
-                    acc ^= mask
-            elif gtype is GateType.OR or gtype is GateType.NOR:
-                acc = slots[ins[0]]
-                for i in ins[1:]:
-                    acc |= slots[i]
-                if gtype is GateType.NOR:
-                    acc ^= mask
-            elif gtype is GateType.XOR or gtype is GateType.XNOR:
-                acc = slots[ins[0]]
-                for i in ins[1:]:
+        XOR, AND, OR, MUX, CONST = _XOR, _AND, _OR, _MUX, _CONST
+        for kind, invert, out, first, rest in self._program:
+            acc = slots[first]
+            if kind is XOR:
+                for i in rest:
                     acc ^= slots[i]
-                if gtype is GateType.XNOR:
-                    acc ^= mask
-            elif gtype is GateType.NOT:
-                acc = slots[ins[0]] ^ mask
-            elif gtype is GateType.BUF:
-                acc = slots[ins[0]]
-            elif gtype is GateType.MUX:
-                sel = slots[ins[0]]
-                acc = (slots[ins[1]] & ~sel) | (slots[ins[2]] & sel)
-                acc &= mask
-            elif gtype is GateType.CONST0:
+            elif kind is AND:
+                for i in rest:
+                    acc &= slots[i]
+            elif kind is OR:
+                for i in rest:
+                    acc |= slots[i]
+            elif kind is MUX:
+                acc = ((slots[rest[0]] & ~acc) | (slots[rest[1]] & acc)) & mask
+            elif kind is CONST:
                 acc = 0
-            else:  # CONST1
-                acc = mask
+            if invert:
+                acc ^= mask
             if force_slots is not None:
                 forced = force_slots.get(out)
                 if forced is not None:
@@ -211,8 +262,8 @@ class BitParallelSimulator:
         Skips the name -> word dict entirely — this is the per-fault hot
         path of fault simulation.
         """
-        slots = self._run_slots(packed_inputs, n_lanes, force)
-        return [slots[slot] for slot in self._output_index]
+        slots = self._run_named(packed_inputs, n_lanes, force)
+        return [slots[slot] for slot in self.output_slots]
 
     def run_patterns(
         self, patterns: Sequence[Mapping[str, int]]
@@ -224,7 +275,7 @@ class BitParallelSimulator:
         :meth:`CombinationalSimulator.run_outputs` per pattern.
         """
         results: list[list[int]] = []
-        nets = self._free_nets
+        nets = self.free_nets
         for start in range(0, len(patterns), PACK_WORD_BITS):
             chunk = patterns[start : start + PACK_WORD_BITS]
             n_lanes = len(chunk)
@@ -234,6 +285,25 @@ class BitParallelSimulator:
             for lane in range(n_lanes):
                 results.append([(word >> lane) & 1 for word in out_words])
         return results
+
+
+_SIM_CACHE: "WeakKeyDictionary[Netlist, BitParallelSimulator]" = WeakKeyDictionary()
+
+
+def simulator_for(netlist: Netlist) -> BitParallelSimulator:
+    """Cached :class:`BitParallelSimulator` of ``netlist``.
+
+    Same contract as :func:`repro.sat.tseitin.encoding_for`: the cache
+    key is the netlist object, paired with its mutation
+    :attr:`~repro.netlist.netlist.Netlist.version`, so every oracle built
+    on one netlist shares one compile and any edit recompiles.
+    """
+    cached = _SIM_CACHE.get(netlist)
+    if cached is not None and cached.version == netlist.version:
+        return cached
+    sim = BitParallelSimulator(netlist)
+    _SIM_CACHE[netlist] = sim
+    return sim
 
 
 def broadcast_inputs(

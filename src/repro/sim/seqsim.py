@@ -1,9 +1,9 @@
 """Cycle-accurate sequential simulation.
 
 The sequential simulator owns the flip-flop state of a netlist and applies
-one clock edge at a time.  The scan package builds the shift/capture
-protocol on top of it; keeping the clocking primitive here means the scan
-oracle and the functional-mode simulation cannot diverge.
+one clock edge at a time.  The structural scan oracle
+(:mod:`repro.scan.structural`) clocks its gate-level locked netlist
+through it, shift edges included.
 """
 
 from __future__ import annotations
