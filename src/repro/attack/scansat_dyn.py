@@ -4,9 +4,12 @@ DOS updates its LFSR key every ``p`` patterns rather than every cycle.
 The paper notes DynUnlock "can be adjusted to break other less rigorous
 scan locking techniques"; the adjustment is embarrassingly small given
 the power-on-reset threat model: restarting the chip before each query
-freezes the key at the first LFSR update, ``T @ seed``.  The attack then
-runs the ``dos_restart`` model -- a *static* overlay whose key bits are
-the one-step-unrolled LFSR outputs -- and recovers the seed directly
+freezes the key at the first LFSR update, ``T @ seed``, except on the
+edge that completes the pattern when ``p == 1``, which already sees the
+second update.  The attack then runs the ``dos_restart`` model -- a
+*static* overlay whose key bits are those unrolled LFSR outputs, each
+edge tagged with the update DOS has in force on it
+(:func:`repro.locking.dos.key_update_of_edge`) -- and recovers the seed directly
 (the LFSR equations are part of the model, so candidates are seeds, not
 intermediate keys).  The DIP loop inherits the incremental solver
 session from :class:`repro.attack.satattack.SatAttack`; refinement runs
@@ -56,6 +59,7 @@ def scansat_dyn_attack(
         taps=public_view.lfsr_taps,
         key_bits=public_view.lfsr_width,
         mode="dos_restart",
+        period_p=public_view.period_p,
     )
     if resolve_level(opt_level) > 0:
         model.netlist = optimize(model.netlist, level=opt_level).netlist
@@ -123,13 +127,11 @@ def _full_replay_survivor(
 ) -> list[int] | None:
     """First survivor whose *full* keystream replay matches the chip.
 
-    The ``dos_restart`` model only observes the first LFSR update, so
-    seeds sharing ``T @ seed`` are indistinguishable to the model-based
-    refinement even when their later keystream diverges (the boundary
-    edge of a query can consume the second update).  Rebuild the real
-    per-pattern keystream oracle from each candidate seed and demand
-    query-for-query agreement with the live chip -- the same criterion
-    the fuzzer's independent attack-replay invariant applies.
+    The model-based refinement trusts the ``dos_restart`` model.  As an
+    independent check, rebuild the real per-pattern keystream oracle
+    from each candidate seed and demand query-for-query agreement with
+    the live chip -- the same criterion the fuzzer's independent
+    attack-replay invariant applies.
     """
     from repro.locking.dos import PerPatternKeystream
     from repro.prng.lfsr import FibonacciLfsr

@@ -132,6 +132,20 @@ def derive_shift_out_crossings(
     return crossings
 
 
+def _retag(
+    crossing: frozenset[tuple[int, int]], update_of
+) -> frozenset[tuple[int, int]]:
+    """Map every (edge, gate) to (``update_of(edge)``, gate) over GF(2).
+
+    Two edges that see the same update XOR the same key bit twice, so
+    the pair cancels.
+    """
+    tagged: set[tuple[int, int]] = set()
+    for edge, gate in crossing:
+        tagged ^= {(update_of(edge), gate)}
+    return frozenset(tagged)
+
+
 # ----------------------------------------------------------------------
 # model construction
 # ----------------------------------------------------------------------
@@ -173,6 +187,7 @@ def build_combinational_model(
     n_captures: int = 1,
     include_pos: bool = True,
     encoding: Literal["dense", "unrolled"] = "dense",
+    period_p: int = 1,
 ) -> CombinationalModel:
     """Build the locked combinational model (the paper's modeling step).
 
@@ -191,6 +206,10 @@ def build_combinational_model(
       expression over the seed bits, producing shallow independent XOR
       trees that propagate better in the SAT solver.  The two encodings
       are logically equivalent (asserted by the test suite).
+
+    ``period_p`` is DOS's key-update period (``dos_restart`` mode only,
+    read from :class:`~repro.locking.dos.DosPublicView`): it decides which
+    edges of a query see the LFSR's second update.
     """
     if spec.n_flops != netlist.n_dffs:
         raise ValueError("chain spec does not match the netlist flop count")
@@ -243,7 +262,12 @@ def build_combinational_model(
     # Crossing sets: the closed forms (repro.core.algorithm1) are proven
     # equal to the symbolic derivation by the test suite and are O(n*K)
     # instead of O(n^2 * K) set churn, which matters at paper scale.
-    if mode == "dynamic":
+    if mode == "static":
+        crossings_in = derive_shift_in_crossings(spec, mode="static")
+        crossings_out = derive_shift_out_crossings(
+            spec, n_captures=n_captures, mode="static"
+        )
+    else:
         from repro.core.algorithm1 import (
             shift_in_crossings_closed_form,
             shift_out_crossings_closed_form,
@@ -253,11 +277,17 @@ def build_combinational_model(
         crossings_out = shift_out_crossings_closed_form(
             spec, n_captures=n_captures
         )
-    else:
-        crossings_in = derive_shift_in_crossings(spec, mode="static")
-        crossings_out = derive_shift_out_crossings(
-            spec, n_captures=n_captures, mode="static"
-        )
+        if mode == "dos_restart":
+            # Retag each crossing's edge with the LFSR update DOS has in
+            # force on it: the first one, except from the edge that
+            # completes a pattern on (a query restarts the chip).
+            from repro.locking.dos import key_update_of_edge
+
+            def update_of(edge: int) -> int:
+                return key_update_of_edge(edge, 2 * n, period_p)
+
+            crossings_in = [_retag(c, update_of) for c in crossings_in]
+            crossings_out = [_retag(c, update_of) for c in crossings_out]
 
     # Overlay operand resolution: map a crossing set to the nets XORed
     # onto the payload bit, per the selected keystream encoding.
@@ -278,8 +308,7 @@ def build_combinational_model(
                     continue
                 dense_rows[crossing] = np.zeros(key_bits, dtype=np.uint8)
                 for cycle, gate in crossing:
-                    actual = 0 if mode == "dos_restart" else cycle
-                    wanted.setdefault(actual, []).append((crossing, gate))
+                    wanted.setdefault(cycle, []).append((crossing, gate))
             for cycle, rows in sym.iter_rows(wanted.keys()):
                 for crossing, gate in wanted[cycle]:
                     dense_rows[crossing] ^= rows[gate]
@@ -295,12 +324,7 @@ def build_combinational_model(
         )
 
         def overlay_operands(crossings: frozenset[tuple[int, int]]) -> list[str]:
-            actual = (
-                [(0, g) for (_, g) in sorted(crossings)]
-                if mode == "dos_restart"
-                else sorted(crossings)
-            )
-            return [unrolling.key_net(c, g) for (c, g) in actual]
+            return [unrolling.key_net(c, g) for (c, g) in sorted(crossings)]
 
     # Shift-in overlay drives the first core copy's pseudo-inputs.
     for l in range(n):

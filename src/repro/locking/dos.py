@@ -6,7 +6,9 @@ static.  The paper notes DynUnlock "can be adjusted" to such less rigorous
 schemes -- the adjustment (implemented in
 :mod:`repro.attack.scansat_dyn`) exploits the power-on reset: restarting
 the chip before every query pins the key to the first LFSR update, which
-reduces the defense to a static overlay whose key is ``T @ seed``.
+reduces the defense to a static overlay whose key is ``T @ seed`` --
+except on the edge that completes the pattern, which with ``p == 1``
+already sees the second update (:func:`key_update_of_edge`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,21 @@ from repro.prng.polynomials import default_taps
 from repro.scan.chain import ScanChainSpec
 from repro.scan.oracle import ScanOracle
 from repro.util.bitvec import random_bits
+
+
+def key_update_of_edge(edge: int, edges_per_pattern: int, period_p: int) -> int:
+    """Which LFSR update DOS has in force on ``edge`` after a reset.
+
+    ``edge`` counts from the last power-on reset, 0-based; the result is
+    0 for the first update (made at reset), 1 for the next, and so on --
+    the symbolic LFSR's cycle index.  DOS updates again once every
+    ``period_p`` completed patterns of ``edges_per_pattern`` edges, and
+    the update is already in force on the edge that completes the
+    pattern.  With ``period_p == 1`` that is the last edge of a
+    single-capture query.  This is :class:`PerPatternKeystream`'s
+    schedule in closed form, for the attack model.
+    """
+    return (edge + 1) // edges_per_pattern // max(1, period_p)
 
 
 class PerPatternKeystream:

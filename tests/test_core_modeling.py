@@ -73,7 +73,9 @@ class TestCrossingDerivation:
 
 
 class TestModelAgainstOracle:
-    def check_model_matches_oracle(self, netlist, lock, oracle, mode, n_captures=1):
+    def check_model_matches_oracle(
+        self, netlist, lock, oracle, mode, n_captures=1, **model_kwargs
+    ):
         model = build_combinational_model(
             netlist,
             spec=lock.spec,
@@ -83,6 +85,7 @@ class TestModelAgainstOracle:
             ),
             mode=mode,
             n_captures=n_captures,
+            **model_kwargs,
         )
         validate_netlist(model.netlist)
         sim = CombinationalSimulator(model.netlist)
@@ -171,8 +174,39 @@ class TestModelAgainstOracle:
         netlist = generate_circuit(config, rng, name="dosp")
         lock = lock_with_dos(netlist, key_bits=4, rng=rng, period_p=5)
         self.check_model_matches_oracle(
-            netlist, lock, lock.make_oracle(), mode="dos_restart"
+            netlist, lock, lock.make_oracle(), mode="dos_restart", period_p=5
         )
+
+    @pytest.mark.requires_numpy
+    @pytest.mark.parametrize("encoding", ["dense", "unrolled"])
+    @pytest.mark.parametrize("period_p", [1, 2])
+    def test_dos_gate_before_last_flop(self, period_p, encoding):
+        """A gate at n-2 crosses a query's last unload edge.
+
+        With ``period_p == 1`` that edge completes the pattern, so DOS
+        has already made its second LFSR update there.
+        """
+        rng = random.Random(79)
+        config = GeneratorConfig(n_flops=8, n_inputs=3, n_outputs=2)
+        netlist = generate_circuit(config, rng, name="dosedge")
+        lock = lock_with_dos(netlist, key_bits=4, rng=rng, period_p=period_p)
+        lock = type(lock)(
+            netlist=netlist,
+            spec=ScanChainSpec(n_flops=8, keygate_positions=(0, 3, 5, 6)),
+            lfsr_taps=lock.lfsr_taps,
+            seed=lock.seed,
+            period_p=period_p,
+        )
+        for n_captures in (1, 2):
+            self.check_model_matches_oracle(
+                netlist,
+                lock,
+                lock.make_oracle(),
+                mode="dos_restart",
+                n_captures=n_captures,
+                encoding=encoding,
+                period_p=period_p,
+            )
 
     @pytest.mark.requires_numpy
     def test_s208_like_fig1_lock(self):

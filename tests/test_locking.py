@@ -7,13 +7,15 @@ import pytest
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.bench_suite.iscas import s27_netlist
 from repro.locking.dfs import lock_with_dfs
-from repro.locking.dos import lock_with_dos
+from repro.locking.dos import PerPatternKeystream, key_update_of_edge, lock_with_dos
 from repro.locking.eff import ConstantKeystream, lock_with_eff
 from repro.locking.effdyn import EffDynLock, lock_with_effdyn
 from repro.locking.keygates import place_keygates
 from repro.locking.rll import lock_combinational_rll
 from repro.locking.tpm import TamperProofMemory, AuthenticationScheme
 from repro.netlist.transform import extract_combinational_core
+from repro.prng.lfsr import FibonacciLfsr
+from repro.prng.polynomials import default_taps
 from repro.scan.chain import ScanChainSpec
 from repro.sim.logicsim import evaluate
 from repro.sim.seqsim import SequentialSimulator
@@ -171,6 +173,19 @@ class TestDos:
         # Repeatability across queries (restart pins the key).
         pattern = random_bits(6, random.Random(6))
         assert oracle.query(pattern).scan_out == oracle.query(pattern).scan_out
+
+    @pytest.mark.parametrize("period_p", [1, 2, 3])
+    def test_update_schedule_closed_form(self, period_p):
+        """``key_update_of_edge`` is the keystream's schedule, edge by edge."""
+        seed = [1, 0, 1, 1, 0]
+        taps = default_taps(5)
+        probe = FibonacciLfsr(width=5, seed_bits=seed, taps=taps)
+        updates = [list(probe.advance()) for _ in range(8)]
+        keystream = PerPatternKeystream(
+            FibonacciLfsr(width=5, seed_bits=seed, taps=taps), 6, period_p
+        )
+        for edge in range(40):
+            assert keystream.next_key() == updates[key_update_of_edge(edge, 6, period_p)]
 
     def test_public_view_carries_period(self):
         lock = lock_with_dos(
