@@ -7,12 +7,14 @@ laptop:
 
 * ``quick`` (default): circuits at 1/16 of the paper's scan-flop counts,
   16-bit keys, one LFSR seed per circuit.  Seconds for all of Table II
-  (3.4 s serial), about 30 s for the whole ``benchmarks/`` suite.
-* ``full``: 1/8 scale, 16-bit keys, two seeds.  Table II in ~30 s
+  (2.0 s serial), about 30 s for the whole ``benchmarks/`` suite.
+* ``full``: 1/8 scale, 16-bit keys, two seeds.  Table II in ~23 s
   serial, the whole ``benchmarks/`` suite in about 7 minutes.
 * ``paper``: the paper's sizes (128-bit keys, full flop counts, ten
-  seeds).  Provided for completeness; expect *days* with a Python solver
-  -- the substitution is documented in DESIGN.md/EXPERIMENTS.md.
+  seeds).  Out of reach for this solver: full-size s5378 breaks with a
+  24-bit seed in 6.4 s, but 32 bits and up time out after one DIP, and
+  128 bits times out at 250 s.  The substitution is documented in
+  DESIGN.md/EXPERIMENTS.md.
 
 The quick/full timings are wall time with the native SAT kernel on a
 2-core Linux container, measured 2026-10-18.
