@@ -23,8 +23,7 @@ from typing import Sequence
 from repro.locking.rll import lock_combinational_rll
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
-from repro.scan.oracle import check_bits
-from repro.sim.logicsim import simulator_for
+from repro.sim.logicsim import check_bits, simulator_for
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.scan.oracle import KeystreamLike, ScanResponse, capture, check_bits
-from repro.sim.logicsim import simulator_for
+from repro.scan.oracle import KeystreamLike, ScanResponse, capture
+from repro.sim.logicsim import check_bits, simulator_for
 
 
 @dataclass(frozen=True)

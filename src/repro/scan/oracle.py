@@ -24,9 +24,7 @@ from typing import Protocol, Sequence
 
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.scan.chain import ScanChainSpec, shift_in, shift_out, xor_int
-from repro.sim.logicsim import simulator_for
-
-_BITS = frozenset((0, 1))
+from repro.sim.logicsim import check_bits, simulator_for
 
 
 class KeystreamLike(Protocol):
@@ -51,13 +49,6 @@ class ScanResponse:
 
     scan_out: list[int]
     primary_outputs: list[int]
-
-
-def check_bits(bits: Sequence[int], what: str) -> None:
-    """Reject anything but 0/1 in a query's bit vector."""
-    if not _BITS.issuperset(bits):
-        bad = next(bit for bit in bits if bit not in _BITS)
-        raise NetlistError(f"{what} bits must be 0/1, got {bad!r}")
 
 
 def capture(

@@ -19,12 +19,7 @@ from weakref import WeakKeyDictionary
 
 from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.util.bitvec import (
-    PACK_WORD_BITS,
-    broadcast_bit,
-    lane_mask,
-    pack_lanes,
-)
+from repro.util.bitvec import PACK_WORD_BITS, lane_mask, pack_lanes
 
 
 def evaluate(
@@ -59,6 +54,20 @@ def _as_bit(value: int, net: str) -> int:
     if value not in (0, 1):
         raise NetlistError(f"net {net!r}: bit value must be 0/1, got {value!r}")
     return int(value)
+
+
+_BITS = frozenset((0, 1))
+
+
+def check_bits(bits: Sequence[int], what: str) -> None:
+    """Reject anything but 0/1 in a one-lane input vector.
+
+    The compiled simulator masks its inputs to the lane width, so callers
+    feeding it outside input check the bits here first.
+    """
+    if not _BITS.issuperset(bits):
+        bad = next(bit for bit in bits if bit not in _BITS)
+        raise NetlistError(f"{what} bits must be 0/1, got {bad!r}")
 
 
 class CombinationalSimulator:
@@ -304,12 +313,3 @@ def simulator_for(netlist: Netlist) -> BitParallelSimulator:
     sim = BitParallelSimulator(netlist)
     _SIM_CACHE[netlist] = sim
     return sim
-
-
-def broadcast_inputs(
-    nets: Sequence[str], bits: Sequence[int], n_lanes: int
-) -> dict[str, int]:
-    """Packed-input map replicating one scalar pattern across all lanes."""
-    return {
-        net: broadcast_bit(bit, n_lanes) for net, bit in zip(nets, bits)
-    }

@@ -16,7 +16,6 @@ from repro.netlist.transform import extract_combinational_core
 from repro.sim.logicsim import (
     BitParallelSimulator,
     CombinationalSimulator,
-    broadcast_inputs,
 )
 from repro.util.bitvec import (
     PACK_WORD_BITS,
@@ -111,9 +110,6 @@ class TestAgainstScalarSimulation:
             assert (values["y"] >> lane) & 1 == (bv if sv else av)
             assert (values["one"] >> lane) & 1 == 1
             assert (values["zero"] >> lane) & 1 == 0
-
-    def test_broadcast_inputs_helper(self):
-        assert broadcast_inputs(["a", "b"], [1, 0], 3) == {"a": 7, "b": 0}
 
 
 class TestPartialFinalChunk:
