@@ -126,7 +126,7 @@ class ScanOracle:
     def n_primary_inputs(self) -> int:
         return len(self.netlist.inputs)
 
-    def _key_masks(self, n_captures: int = 1) -> tuple[list[int], list[int]]:
+    def _key_masks(self, n_captures: int) -> tuple[list[int], list[int]]:
         """``(load_mask, unload_mask)`` of a query with ``n_captures``.
 
         Derived on first use by running the power-on keystream through
